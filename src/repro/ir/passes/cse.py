@@ -8,12 +8,18 @@ repeats a previous load — or picks up the value of a previous store —
 with the same address expression, as long as no *other* store or call
 intervened.  The memory model is conservative: any store or call kills
 all remembered loads (except the mapping created by the store itself,
-which is exact).
+which is exact).  An instruction that redefines one of its own operands
+(``x = add x, 1``) is not remembered: its key no longer describes it.
+
+Cost is linear in block length: reverse indexes (register -> keys that
+mention it as operand or result, plus the live load keys) let a
+definition, store or call kill exactly its victims without a scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import defaultdict
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.instructions import BinOp, Call, Cmp, Copy, Load, Store
 from repro.ir.module import Function
@@ -34,17 +40,37 @@ def _key_of(instr) -> Tuple:
     return ()
 
 
+def _operands(key: Tuple) -> List[VReg]:
+    return [value for value in key[1:] if isinstance(value, VReg)]
+
+
 def eliminate_common_subexpressions(function: Function) -> int:
     rewrites = 0
     for block in function.blocks:
         available: Dict[Tuple, Value] = {}
+        # Reverse indexes over ``available`` (see the module docstring).
+        mentions: Dict[VReg, Set[Tuple]] = defaultdict(set)
+        loads: Set[Tuple] = set()
+
+        def remember(key: Tuple, value: Value) -> None:
+            if key in available:
+                forget(key)
+            available[key] = value
+            for reg in _operands(key + (value,)):
+                mentions[reg].add(key)
+            if key[0] == "load":
+                loads.add(key)
+
+        def forget(key: Tuple) -> None:
+            for reg in _operands(key + (available.pop(key),)):
+                mentions[reg].discard(key)
+            loads.discard(key)
+
         for index, instr in enumerate(block.instrs):
             if isinstance(instr, (Store, Call)):
                 # Conservative: memory changed; all remembered loads die.
-                available = {
-                    key: value for key, value in available.items()
-                    if key[0] != "load"
-                }
+                for key in list(loads):
+                    forget(key)
 
             key = _key_of(instr)
             if key and key in available:
@@ -52,28 +78,20 @@ def eliminate_common_subexpressions(function: Function) -> int:
                 rewrites += 1
                 instr = block.instrs[index]
 
-            # Kill expressions whose operands this instruction redefines.
-            defined = set(instr.defs())
-            if defined:
-                dead: List[Tuple] = []
-                for expr_key, result in available.items():
-                    operands = [
-                        value for value in expr_key[1:]
-                        if isinstance(value, VReg)
-                    ]
-                    if (isinstance(result, VReg) and result in defined) or any(
-                        operand in defined for operand in operands
-                    ):
-                        dead.append(expr_key)
-                for expr_key in dead:
-                    del available[expr_key]
+            # Kill expressions mentioning a register this instruction defines.
+            defined = instr.defs()
+            for reg in defined:
+                for dead in mentions.pop(reg, ()):
+                    forget(dead)
 
-            if key and key not in available:
-                available[key] = instr.defs()[0]
+            # Never remember a key that this instruction's own def stales.
+            if key and key not in available and not any(
+                    reg in defined for reg in _operands(key)):
+                remember(key, defined[0])
 
             # Store-to-load forwarding: the stored value is exactly what
             # a matching load would observe.
             if isinstance(instr, Store) and isinstance(instr.value,
                                                        (VReg, Const)):
-                available[("load", instr.base, instr.offset)] = instr.value
+                remember(("load", instr.base, instr.offset), instr.value)
     return rewrites

@@ -1,5 +1,7 @@
 """Optimisation passes: targeted rewrites plus semantic preservation."""
 
+import time
+
 import pytest
 
 from repro.ir import (
@@ -103,6 +105,19 @@ class TestCopyProp:
         interp = Interpreter(module, mem_words=64)
         assert interp.call("main", [10, 20]) == 20
 
+    def test_source_redefinition_kills_every_copy(self):
+        mb = ModuleBuilder()
+        fb = mb.function("main", ["x"])
+        fb.set_block(fb.new_block("entry"))
+        x = fb.params[0]
+        a = fb.copy(x)
+        b = fb.copy(x)
+        fb.copy_to(x, 5)                   # kills a -> x and b -> x
+        fb.ret(fb.binop("add", a, b))
+        module = mb.build()
+        assert propagate_copies(module.functions["main"]) == 0
+        assert run_module(module, args=[10]).result == 20
+
 
 class TestCse:
     def test_repeated_expression_shared(self):
@@ -155,6 +170,59 @@ class TestCse:
         fb.ret(fb.binop("add", first, second))
         function = mb.module.functions["main"]
         assert eliminate_common_subexpressions(function) == 1
+
+
+    def test_self_redefinition_not_remembered(self):
+        # x = add x, 1 computes a value that "add x, 1" no longer
+        # describes once x changed; y must not become a copy of x.
+        mb = ModuleBuilder()
+        fb = mb.function("main", ["x"])
+        fb.set_block(fb.new_block("entry"))
+        x = fb.params[0]
+        fb.current_block.instrs.append(BinOp("add", x, x, Const(1)))
+        fb.ret(fb.binop("add", x, 1))
+        module = mb.build()
+        assert eliminate_common_subexpressions(module.functions["main"]) == 0
+        assert run_module(module, args=[10]).result == 12
+
+    def test_self_redefining_cmp_not_remembered(self):
+        mb = ModuleBuilder()
+        fb = mb.function("main", ["x"])
+        fb.set_block(fb.new_block("entry"))
+        x = fb.params[0]
+        fb.current_block.instrs.append(Cmp("eq", x, x, Const(0)))
+        fb.ret(fb.cmp("eq", x, 0))
+        module = mb.build()
+        eliminate_common_subexpressions(module.functions["main"])
+        # x == 0 -> x = 1 -> (1 == 0) = 0.
+        assert run_module(module, args=[0]).result == 0
+
+    def test_load_redefining_its_base_not_remembered(self):
+        # g is laid out at address 0 and links each word to the next.
+        mb = ModuleBuilder()
+        mb.global_array("g", 4, [1, 2, 3, 0])
+        fb = mb.function("main", ["p"])
+        fb.set_block(fb.new_block("entry"))
+        p = fb.params[0]
+        fb.current_block.instrs.append(Load(p, p, Const(0)))
+        fb.ret(fb.load(p, 0))
+        module = mb.build()
+        eliminate_common_subexpressions(module.functions["main"])
+        assert run_module(module, args=[0]).result == 2
+
+    def test_redefined_stored_value_not_forwarded(self):
+        mb = ModuleBuilder()
+        mb.global_array("g", 4, [5])
+        fb = mb.function("main", ["x"])
+        fb.set_block(fb.new_block("entry"))
+        first = fb.load(Sym("g"), 0)
+        fb.store(fb.params[0], Sym("g"), 0)
+        fb.copy_to(fb.params[0], 7)       # stales the forwarded value
+        second = fb.load(Sym("g"), 0)
+        fb.ret(fb.binop("add", first, second))
+        module = mb.build()
+        assert eliminate_common_subexpressions(module.functions["main"]) == 0
+        assert run_module(module, args=[9]).result == 14
 
 
 class TestDce:
@@ -283,3 +351,22 @@ class TestPipeline:
         first = optimize_function(function)
         second = optimize_function(function)
         assert second == 0
+
+    def test_long_block_optimises_in_linear_time(self):
+        # 4000 chained add/xor expressions, each copied into a fresh
+        # register, keep thousands of CSE and copy entries live at once.
+        # Per-instruction scans of them take over a minute; the indexed
+        # passes take a fraction of a second.
+        mb = ModuleBuilder()
+        fb = mb.function("main", ["x", "y"])
+        fb.set_block(fb.new_block("entry"))
+        x, y = fb.params
+        value = x
+        for i in range(4000):
+            op = "add" if i % 2 else "xor"
+            value = fb.copy(fb.binop(op, value, y if i % 3 else i))
+        fb.ret(value)
+        module = mb.build()
+        start = time.perf_counter()
+        optimize_module(module)
+        assert time.perf_counter() - start < 3.0
