@@ -202,7 +202,7 @@ def main(argv=None) -> int:
             # Warm persistent workers: the DSE loop re-evaluates the
             # same workload across many configs, so candidate jobs ride
             # on workers whose compile caches are already populated.
-            executor = SupervisedPool(jobs=args.jobs, warm=True)
+            executor = SupervisedPool(jobs=args.jobs)
         if args.cache:
             from repro.serve import ResultCache
             cache = ResultCache(args.cache)

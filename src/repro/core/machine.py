@@ -175,8 +175,7 @@ class EpicProcessor:
     def run(self, max_cycles: int = 200_000_000,
             trace=None,
             watchdog_cycles: Optional[int] = None,
-            fast: Optional[bool] = None,
-            engine: Optional[str] = None,
+            engine: str = "auto",
             until_cycle: Optional[int] = None) -> SimulationResult:
         """Execute until HALT; returns the cycle count and statistics.
 
@@ -213,11 +212,9 @@ class EpicProcessor:
           (:mod:`repro.core.tracejit`), with the same eligibility
           rules as the fast path.
 
-        ``fast`` is the legacy boolean spelling (``None``/``True``/
-        ``False`` map to ``auto``/``fast``/``reference``); passing both
-        is an error.  All engines are cycle-exact: they produce
-        bit-identical cycle counts, statistics and architectural state.
-        ``last_engine`` records which engine actually ran.
+        All engines are cycle-exact: they produce bit-identical cycle
+        counts, statistics and architectural state.  ``last_engine``
+        records which engine actually ran.
 
         ``until_cycle``, if given, pauses the run at the first
         *quiescent* cycle at or after it: a top-of-loop point with no
@@ -230,12 +227,6 @@ class EpicProcessor:
         exceptions fire at the same cycle either way.  A run that halts
         before reaching ``until_cycle`` returns normally.
         """
-        if engine is None:
-            engine = {None: "auto", True: "fast", False: "reference"}[fast]
-        elif fast is not None:
-            raise SimulationError(
-                "pass either engine= or the legacy fast= flag, not both"
-            )
         if engine == "instrumented":
             engine = "reference"
         if engine not in ("auto", "fast", "trace", "reference"):

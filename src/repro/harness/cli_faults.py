@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         # Warm persistent workers: every shard of every campaign in
         # this invocation shares the same (workload, config) checker
         # memos via affinity routing.
-        executor = SupervisedPool(jobs=arguments.jobs, warm=True)
+        executor = SupervisedPool(jobs=arguments.jobs)
 
     injections_done = [0]
 

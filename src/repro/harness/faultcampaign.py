@@ -283,8 +283,8 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
             else getattr(executor, "jobs", 1)
         jobs = shard_campaign(whole, want) if want > 1 else [whole]
         if cache is None:
-            # Warm the process-level checker memo before dispatch: a
-            # forking PoolExecutor's workers inherit the compiled
+            # Warm the process-level checker memo before dispatch: the
+            # pool's forked worker incarnations inherit the compiled
             # checker (and its golden checkpoint stream) instead of
             # each rebuilding it.  With a result cache the jobs may
             # never run at all, so skip the warm-up.

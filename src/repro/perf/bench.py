@@ -637,7 +637,7 @@ def main(argv=None) -> int:
 
         # Warm persistent workers: repeat (benchmark, machine) cells
         # land on workers whose compile caches are already hot.
-        executor = SupervisedPool(jobs=arguments.jobs, warm=True)
+        executor = SupervisedPool(jobs=arguments.jobs)
 
     def on_cell(cell: Dict[str, object]) -> None:
         if not arguments.verbose:

@@ -10,23 +10,20 @@ seed) triple.  This package turns those evaluations into first-class
 * :class:`~repro.serve.jobspec.JobSpec` — a canonical, hashable,
   JSON-serialisable description of one evaluation, with a stable
   content digest;
-* :class:`~repro.serve.executors.SerialExecutor` /
-  :class:`~repro.serve.executors.PoolExecutor` — pluggable engines
-  that run a batch of jobs (in-process, or fanned out over worker
-  processes with per-job timeouts and bounded crash retries) and
-  always return results **in input order**, never completion order;
+* :class:`~repro.serve.executors.SerialExecutor` — the in-process
+  reference executor; every batch runs through it or the pool and
+  comes back **in input order**, never completion order;
+* :class:`~repro.serve.supervisor.SupervisedPool` — the one process
+  pool: long-lived worker incarnations with affinity routing, so
+  compile caches and memoised checkers survive across jobs, recycled
+  after N jobs (``recycle_after=1`` is a fresh process per job) or an
+  RSS ceiling; supervised by heartbeats and a hung-worker watchdog
+  (SIGTERM -> SIGKILL reap escalation), per-job timeouts, retries with
+  deterministic exponential backoff, poison-job quarantine, and
+  graceful degradation to in-process execution when spawning fails;
 * :class:`~repro.serve.cache.ResultCache` — a content-addressed
   on-disk store of job results keyed by job digest and a code-version
   salt, with hit/miss/invalidation statistics;
-* :class:`~repro.serve.supervisor.SupervisedPool` — the pool hardened
-  into a fault-tolerant fabric: worker heartbeats + hung-worker
-  watchdog (SIGTERM -> SIGKILL reap escalation), retries with
-  deterministic exponential backoff, poison-job quarantine, and
-  graceful degradation to in-process execution when spawning fails —
-  plus a **warm mode** (``warm=True``) of long-lived worker
-  incarnations with affinity routing, so compile caches and memoised
-  checkers survive across jobs (recycled after N jobs / an RSS
-  ceiling, with reuse/affinity telemetry);
 * :mod:`repro.serve.daemon` — a long-running HTTP/JSON job service
   (submit batches, stream results, peek the cache by digest) with a
   bounded back-pressured queue, per-client quotas, a durable spool,
@@ -71,7 +68,6 @@ from repro.serve.executors import (
     STATUS_POISONED,
     STATUS_TIMEOUT,
     JobOutcome,
-    PoolExecutor,
     SerialExecutor,
     raise_for_failures,
     reap_process,
@@ -101,7 +97,6 @@ __all__ = [
     "STATUS_POISONED",
     "STATUS_TIMEOUT",
     "JobOutcome",
-    "PoolExecutor",
     "SerialExecutor",
     "SupervisedPool",
     "raise_for_failures",

@@ -249,14 +249,14 @@ def run_chaos_differential(specs: Sequence[JobSpec],
     """Prove chaos cannot touch a result table.
 
     1. Clean baseline: ``SerialExecutor``, no cache.
-    2. Warm chaos run: ``SupervisedPool(warm=True)`` with worker
-       kill/hang injection and no cache — chaos faults persistent
-       worker *incarnations* mid-stream (an incarnation may die with
-       warm state covering many served keys) and the fabric must
-       rebuild on fresh incarnations without a byte of drift.
-    3. Fresh chaos run: one-process-per-job ``SupervisedPool`` with the
-       same injection, writing through a cache whose records chaos may
-       corrupt.
+    2. Warm chaos run: ``SupervisedPool`` with worker kill/hang
+       injection and no cache — chaos faults persistent worker
+       *incarnations* mid-stream (an incarnation may die with warm
+       state covering many served keys) and the fabric must rebuild on
+       fresh incarnations without a byte of drift.
+    3. Fresh chaos run: ``SupervisedPool(recycle_after=1)`` (a new
+       process per job) with the same injection, writing through a
+       cache whose records chaos may corrupt.
     4. Replay: same batch again — cache hits except where records were
        corrupted, which must be detected and recomputed.
 
@@ -281,22 +281,22 @@ def run_chaos_differential(specs: Sequence[JobSpec],
             retries=warm_monkey.max_faults_per_job + 1,
             heartbeat=heartbeat, watchdog=watchdog,
             backoff_base=0.01, backoff_cap=0.1,
-            term_grace=1.0, chaos=warm_monkey, warm=True) as warm_pool:
+            term_grace=1.0, chaos=warm_monkey) as warm_pool:
         warm = warm_pool.run(specs)
         raise_for_failures(warm)
         warm_telemetry = warm_pool.telemetry()
 
     cache = ChaosResultCache(cache_root, monkey)
-    pool = SupervisedPool(
-        jobs=jobs, timeout=timeout,
-        retries=monkey.max_faults_per_job + 1,
-        heartbeat=heartbeat, watchdog=watchdog,
-        backoff_base=0.01, backoff_cap=0.1,
-        term_grace=1.0, chaos=monkey)
-    chaotic = run_jobs(specs, executor=pool, cache=cache)
-    raise_for_failures(chaotic)
-    replay = run_jobs(specs, executor=pool, cache=cache)
-    raise_for_failures(replay)
+    with SupervisedPool(
+            jobs=jobs, timeout=timeout,
+            retries=monkey.max_faults_per_job + 1,
+            heartbeat=heartbeat, watchdog=watchdog,
+            backoff_base=0.01, backoff_cap=0.1,
+            term_grace=1.0, chaos=monkey, recycle_after=1) as pool:
+        chaotic = run_jobs(specs, executor=pool, cache=cache)
+        raise_for_failures(chaotic)
+        replay = run_jobs(specs, executor=pool, cache=cache)
+        raise_for_failures(replay)
 
     tables = {
         "serial": outcome_table(baseline),

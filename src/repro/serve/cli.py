@@ -11,10 +11,10 @@ Subcommands::
     repro-serve chaos  --seed 7 --out chaos.json     # differential gate
 
 Parallel runs (``--jobs N``, N > 1) execute on the **warm persistent
-worker pool** (:class:`~repro.serve.supervisor.SupervisedPool` with
-``warm=True``): long-lived workers whose compile caches and memoised
-checkers survive across jobs, with affinity routing.  Pass
-``--fresh-workers`` to restore the one-process-per-job strategy.
+worker pool** (:class:`~repro.serve.supervisor.SupervisedPool`):
+long-lived workers whose compile caches and memoised checkers survive
+across jobs, with affinity routing.  ``--fresh-workers`` is spelled
+``recycle_after=1`` on the pool: every job runs on a new process.
 ``warmgate`` runs one batch serial, fresh and warm, requires all three
 outcome tables byte-identical and (optionally) a minimum warm-vs-fresh
 speedup — the CI gate for the warm fabric.
@@ -74,14 +74,13 @@ def _specs_for(names: List[str], quick: bool):
 
 
 def _build_executor(jobs: int, timeout: Optional[float], retries: int,
-                    fresh: bool = False,
-                    recycle_after: Optional[int] = None):
-    """Parallel runs default to the warm persistent pool; ``fresh``
-    restores the one-process-per-job strategy."""
+                    fresh: bool = False):
+    """Parallel runs use the warm persistent pool; ``fresh`` recycles
+    every worker after one job."""
     if jobs > 1:
         return SupervisedPool(jobs=jobs, timeout=timeout,
-                              retries=retries, warm=not fresh,
-                              recycle_after=recycle_after)
+                              retries=retries,
+                              recycle_after=1 if fresh else None)
     return SerialExecutor()
 
 
@@ -254,16 +253,17 @@ def _warmgate_command(arguments) -> int:
     # its parent has populated, so executing any job in this process
     # first would hand the fresh pool pre-warmed children and erase
     # the very cost the gate measures.
-    fresh_pool = SupervisedPool(jobs=arguments.jobs,
-                                timeout=arguments.timeout,
-                                retries=arguments.retries)
-    started = perf_counter()
-    fresh_outcomes = fresh_pool.run(specs)
-    fresh_wall = perf_counter() - started
+    with SupervisedPool(jobs=arguments.jobs,
+                        timeout=arguments.timeout,
+                        retries=arguments.retries,
+                        recycle_after=1) as fresh_pool:
+        started = perf_counter()
+        fresh_outcomes = fresh_pool.run(specs)
+        fresh_wall = perf_counter() - started
 
     with SupervisedPool(jobs=arguments.jobs,
                         timeout=arguments.timeout,
-                        retries=arguments.retries, warm=True,
+                        retries=arguments.retries,
                         recycle_after=arguments.recycle_after or None
                         ) as warm_pool:
         started = perf_counter()
@@ -370,8 +370,8 @@ def main(argv=None) -> int:
         sub.add_argument("--retries", type=int, default=1,
                          help="retries after a worker crash (default 1)")
         sub.add_argument("--fresh-workers", action="store_true",
-                         help="fork a fresh worker per job instead of "
-                              "the warm persistent pool")
+                         help="recycle each pool worker after one job "
+                              "(a fresh process per job)")
         sub.add_argument("--verbose", action="store_true",
                          help="print one line per finished job")
 

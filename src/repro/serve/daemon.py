@@ -159,7 +159,7 @@ class ServeDaemon:
         self.cache = ResultCache(cache_root
                                  or os.path.join(spool, "cache"))
         self.executor = executor if executor is not None \
-            else SupervisedPool(jobs=2, warm=True)
+            else SupervisedPool(jobs=2)
         self.max_queue = max_queue
         self.max_client_jobs = max_client_jobs
         self.host = host
@@ -744,12 +744,10 @@ def main(argv=None) -> int:
                         help="per-job timeout in seconds")
     parser.add_argument("--retries", type=int, default=2,
                         help="retries after a worker crash or hang")
-    parser.add_argument("--fresh-workers", action="store_true",
-                        help="fork a fresh worker per job instead of "
-                             "the warm persistent pool")
     parser.add_argument("--recycle-after", type=int, default=64,
                         help="recycle a warm worker after this many "
-                             "jobs (0 disables)")
+                             "jobs (1: a fresh process per job; 0 "
+                             "disables)")
     parser.add_argument("--max-worker-rss-mb", type=float, default=None,
                         help="recycle a warm worker whose peak RSS "
                              "exceeds this many MB")
@@ -768,7 +766,6 @@ def main(argv=None) -> int:
                 jobs=arguments.jobs,
                 timeout=arguments.timeout,
                 retries=arguments.retries,
-                warm=not arguments.fresh_workers,
                 recycle_after=arguments.recycle_after or None,
                 max_worker_rss_mb=arguments.max_worker_rss_mb),
             max_queue=arguments.max_queue,

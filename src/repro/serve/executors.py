@@ -1,15 +1,16 @@
-"""Pluggable job executors and the cache-aware orchestration loop.
+"""Job outcomes, the in-process executor and the cache-aware batch loop.
 
-Two engines share one interface (``run(specs, on_result=None) ->
+Two executors share one interface (``run(specs, on_result=None) ->
 List[JobOutcome]``):
 
-* :class:`SerialExecutor` — runs jobs in-process, in order.  The
-  reference engine: every other execution strategy must reproduce its
-  results byte-for-byte.
-* :class:`PoolExecutor` — fans jobs out over worker *processes* (one
-  fresh process per job, at most ``jobs`` alive at once), with a
-  per-job timeout, bounded retries on worker crash, and structured
-  outcomes for every failure mode.  No failure hangs the executor.
+* :class:`SerialExecutor` (here) runs jobs in this process, in order.
+  It is the reference: every other execution strategy must reproduce
+  its results byte for byte.
+* :class:`~repro.serve.supervisor.SupervisedPool` runs them on
+  supervised worker processes.
+
+Both execute a job through :func:`execute_job`, which turns any
+exception into a structured ``error`` outcome.
 
 **Deterministic ordering is the contract**: the returned list is always
 keyed by input position, never by completion order.  The optional
@@ -24,16 +25,13 @@ execution, fresh ``ok`` results are written back.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError, ServeError
 from repro.serve.jobspec import KIND_PROBE, JobSpec
-from repro.serve.worker import execute_payload, execute_spec
+from repro.serve.worker import execute_spec
 
 #: Structured job statuses.  ``ok`` is the only one carrying a payload.
 STATUS_OK = "ok"
@@ -106,6 +104,40 @@ class JobOutcome:
         }
 
 
+def execute_job(spec: JobSpec, index: int, attempts: int = 1,
+                degraded: bool = False) -> JobOutcome:
+    """Run one job in this process as a structured outcome.
+
+    The one job body of the package: :class:`SerialExecutor`, the
+    pool's degraded fallback and every worker incarnation all call it.
+    A raising job becomes an ``error`` outcome, never an exception.
+    ``degraded`` marks the outcome's meta as run by a pool that fell
+    back to in-process execution.
+    """
+    started = time.perf_counter()
+    payload = meta = error = None
+    try:
+        payload, meta = execute_spec(spec)
+    except ReproError as exc:
+        error = str(exc)
+    except Exception as exc:  # noqa: BLE001 - structured outcome
+        error = f"{type(exc).__name__}: {exc}"
+    if degraded:
+        meta = {**(meta or {}), "degraded": True}
+    return JobOutcome(spec=spec, index=index,
+                      status=STATUS_OK if error is None else STATUS_ERROR,
+                      payload=payload, meta=meta, error=error,
+                      seconds=time.perf_counter() - started,
+                      attempts=attempts)
+
+
+def kills_the_process(spec: JobSpec) -> bool:
+    """True for probes that would kill or wedge the process running
+    them, so they can only run inside a pool worker."""
+    return spec.kind == KIND_PROBE and spec.behavior in (
+        "crash", "hang", "stubborn")
+
+
 class SerialExecutor:
     """In-process, in-order execution — the determinism reference."""
 
@@ -115,185 +147,17 @@ class SerialExecutor:
             on_result: Optional[OnResult] = None) -> List[JobOutcome]:
         outcomes: List[JobOutcome] = []
         for index, spec in enumerate(specs):
-            if spec.kind == KIND_PROBE and spec.behavior in (
-                    "crash", "hang", "stubborn"):
+            if kills_the_process(spec):
                 raise ServeError(
                     f"probe behaviour {spec.behavior!r} would kill or "
                     "wedge the calling process; run it under a "
-                    "PoolExecutor"
+                    "SupervisedPool"
                 )
-            started = time.perf_counter()
-            try:
-                payload, meta = execute_spec(spec)
-                outcome = JobOutcome(spec=spec, index=index,
-                                     status=STATUS_OK, payload=payload,
-                                     meta=meta,
-                                     seconds=time.perf_counter() - started)
-            except ReproError as error:
-                outcome = JobOutcome(spec=spec, index=index,
-                                     status=STATUS_ERROR, error=str(error),
-                                     seconds=time.perf_counter() - started)
-            except Exception as error:  # noqa: BLE001 - structured outcome
-                outcome = JobOutcome(
-                    spec=spec, index=index, status=STATUS_ERROR,
-                    error=f"{type(error).__name__}: {error}",
-                    seconds=time.perf_counter() - started)
+            outcome = execute_job(spec, index)
             outcomes.append(outcome)
             if on_result is not None:
                 on_result(outcome)
         return outcomes
-
-
-def _child_entry(payload: Dict[str, object], conn) -> None:
-    """Worker-process body: run the job, report exactly one message."""
-    try:
-        result, meta = execute_payload(payload)
-        conn.send((STATUS_OK, result, meta))
-    except ReproError as error:
-        conn.send((STATUS_ERROR, str(error), None))
-    except Exception as error:  # noqa: BLE001 - report, don't die silent
-        conn.send((STATUS_ERROR, f"{type(error).__name__}: {error}", None))
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - pipe already gone
-            pass
-
-
-@dataclass
-class _Running:
-    index: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-
-
-class PoolExecutor:
-    """Process-parallel execution with timeouts and crash retries.
-
-    Each job runs in its own fresh worker process (results travel over
-    a dedicated pipe, so a dying worker can never corrupt another
-    job's result), with at most ``jobs`` workers alive at a time:
-
-    * a job exceeding ``timeout`` seconds is reaped — SIGTERM,
-      escalating to SIGKILL after ``term_grace`` seconds, so even a
-      child that ignores SIGTERM cannot wedge the pool — and surfaces
-      as a ``timeout`` outcome naming the ending signal (no retry — a
-      deterministic job that timed out once will time out again);
-    * a worker that dies without reporting (hard crash) is retried up
-      to ``retries`` times, then surfaces as ``crashed``;
-    * a job that raises reports an ``error`` outcome.
-
-    Jobs are launched in input order and results are returned in input
-    order regardless of completion order.
-    """
-
-    def __init__(self, jobs: int = 2, timeout: Optional[float] = None,
-                 retries: int = 1, start_method: Optional[str] = None,
-                 term_grace: float = DEFAULT_TERM_GRACE):
-        if jobs < 1:
-            raise ServeError("PoolExecutor needs jobs >= 1")
-        if timeout is not None and timeout <= 0:
-            raise ServeError("per-job timeout must be positive")
-        if retries < 0:
-            raise ServeError("retries must be >= 0")
-        if term_grace <= 0:
-            raise ServeError("term_grace must be positive")
-        self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.term_grace = term_grace
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
-
-    def run(self, specs: Sequence[JobSpec],
-            on_result: Optional[OnResult] = None) -> List[JobOutcome]:
-        specs = list(specs)
-        payloads = [spec.to_payload() for spec in specs]
-        results: Dict[int, JobOutcome] = {}
-        ready_queue = deque(range(len(specs)))
-        running: Dict[object, _Running] = {}
-        attempts = [0] * len(specs)
-
-        def finish(outcome: JobOutcome) -> None:
-            results[outcome.index] = outcome
-            if on_result is not None:
-                on_result(outcome)
-
-        while len(results) < len(specs):
-            while ready_queue and len(running) < self.jobs:
-                index = ready_queue.popleft()
-                attempts[index] += 1
-                parent_conn, child_conn = self._context.Pipe(duplex=False)
-                process = self._context.Process(
-                    target=_child_entry,
-                    args=(payloads[index], child_conn),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                running[parent_conn] = _Running(index, process,
-                                                time.monotonic())
-
-            if not running:
-                continue
-            # A connection becomes ready when the worker sends its
-            # result *or* exits (EOF), so crashes wake us immediately;
-            # the short timeout only bounds the per-job timeout check.
-            for conn in connection_wait(list(running), timeout=0.05):
-                job = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                conn.close()
-                reap_process(job.process, self.term_grace)
-                elapsed = time.monotonic() - job.started
-                if message is None:
-                    exit_code = job.process.exitcode
-                    if attempts[job.index] <= self.retries:
-                        ready_queue.append(job.index)
-                        continue
-                    finish(JobOutcome(
-                        spec=specs[job.index], index=job.index,
-                        status=STATUS_CRASHED,
-                        error=(f"worker died without reporting "
-                               f"(exit code {exit_code}) after "
-                               f"{attempts[job.index]} attempt(s)"),
-                        seconds=elapsed, attempts=attempts[job.index]))
-                    continue
-                status, data, meta = message
-                if status == STATUS_OK:
-                    finish(JobOutcome(
-                        spec=specs[job.index], index=job.index,
-                        status=STATUS_OK, payload=data, meta=meta,
-                        seconds=elapsed, attempts=attempts[job.index]))
-                else:
-                    finish(JobOutcome(
-                        spec=specs[job.index], index=job.index,
-                        status=STATUS_ERROR, error=data,
-                        seconds=elapsed, attempts=attempts[job.index]))
-
-            if self.timeout is None:
-                continue
-            now = time.monotonic()
-            for conn, job in list(running.items()):
-                if now - job.started < self.timeout:
-                    continue
-                ended_by = reap_process(job.process, self.term_grace)
-                conn.close()
-                del running[conn]
-                finish(JobOutcome(
-                    spec=specs[job.index], index=job.index,
-                    status=STATUS_TIMEOUT,
-                    error=(f"job exceeded the {self.timeout:g}s per-job "
-                           f"timeout and was terminated "
-                           f"(worker ended by {ended_by})"),
-                    seconds=now - job.started,
-                    attempts=attempts[job.index]))
-
-        return [results[index] for index in range(len(specs))]
 
 
 def run_jobs(specs: Sequence[JobSpec],

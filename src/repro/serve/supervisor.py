@@ -1,78 +1,61 @@
-"""``SupervisedPool``: the process pool hardened into a fault-tolerant
-execution fabric — with an optional **warm persistent worker** mode.
+"""``SupervisedPool``: the process pool of :mod:`repro.serve`.
 
-:class:`~repro.serve.executors.PoolExecutor` already gives per-job
-isolation, timeouts and bounded crash retries.  This module adds the
-machinery a *long-running service* needs to survive infrastructure
-failure without corrupting results:
+Jobs run on **worker incarnations**: long-lived child processes that
+loop over jobs sent down a duplex pipe.  The expensive state a worker
+builds — the memoised lockstep checker
+(:data:`repro.serve.worker._CHECKER_MEMO`), the fastpath and trace
+compile caches, the golden checkpoint streams — survives from job to
+job instead of dying with the process.  One dispatch loop serves every
+shape of pool:
 
-* **worker heartbeats + hung-worker watchdog** — every worker runs a
-  daemon thread that beats over its result pipe; a worker silent for
-  longer than ``watchdog`` seconds is declared hung and reaped (SIGTERM
-  escalating to SIGKILL after ``term_grace``).  Heartbeat silence is an
-  *infrastructure* fault — the worker may be deadlocked or stopped — so
-  hung jobs are retried; only the deterministic per-job ``timeout``
-  surfaces without retry.
-* **retries with exponential backoff + deterministic seeded jitter** —
-  a crashed or hung job is rescheduled after
-  ``backoff_base * 2**(failures-1)`` seconds (capped at
-  ``backoff_cap``), scaled by a jitter drawn from
-  :class:`~repro.workloads.XorShift32` seeded by the job digest and the
-  failure count.  Same batch, same crashes => same schedule, so retry
-  timing can never leak into results.
-* **poison-job quarantine** — a spec whose workers crash
-  ``poison_after`` times is a *crash loop*: it gets a structured
-  ``poisoned`` outcome instead of eating workers forever, and its
-  digest is quarantined on the pool, so every later submission of the
-  same digest is refused instantly (attempts=0) until the pool is
-  replaced.
-* **graceful degradation to serial execution** — if the OS refuses to
-  spawn worker processes (fork bombs, rlimits, cgroup pressure), the
-  pool flips to running jobs in-process, SerialExecutor-style, rather
-  than failing the batch.  Probes that would kill or wedge the calling
-  process surface as structured failures instead.  Set
-  ``fallback_serial=False`` to get a
-  :class:`~repro.errors.SpawnError` instead.
-* **chaos hooks** — an optional :class:`~repro.serve.chaos.ChaosMonkey`
-  may order a worker killed or hung per (digest, attempt), which is how
-  the differential harness proves all of the above is invisible in the
-  outcome tables.
-
-**Warm mode** (``warm=True``) replaces the one-fresh-process-per-job
-strategy with a fabric of **long-lived worker incarnations** that loop
-over a pipe-fed job queue.  The expensive per-process state a worker
-accumulates — the memoised lockstep checker
-(:data:`repro.serve.worker._CHECKER_MEMO`), the fastpath/trace compile
-caches, the golden checkpoint streams — survives from job to job
-instead of dying with the process, which removes the dominant
-spawn+recompile tax on compile-heavy sweeps:
-
-* **affinity routing** — jobs carry an
+* **affinity routing** — each job carries an
   :meth:`~repro.serve.jobspec.JobSpec.affinity_key` (workload instance
-  + machine-config digest: exactly what the in-process memos are keyed
-  by) and the dispatcher prefers an idle worker that has already served
-  that key, so repeat keys land on hot caches;
-* **bounded incarnations** — a worker is recycled after
-  ``recycle_after`` jobs or once its peak RSS crosses
-  ``max_worker_rss_mb`` (reported by the worker with every result), so
-  warm state cannot grow into a leak;
-* **supervision unchanged** — heartbeats and the watchdog now span
-  every job of an incarnation, crashes cost only the incarnation (the
-  job retries on a fresh one), poison quarantine still counts crash
-  loops per digest, per-job timeouts still reap (sacrificing the
-  incarnation), and chaos ``kill``/``hang`` directives fault warm
-  incarnations mid-stream exactly like fresh workers.
+  plus machine-config digest: exactly what the in-process memos are
+  keyed by).  The dispatcher prefers an idle incarnation that has
+  served that key, else spawns one while fewer than ``jobs`` are
+  alive, else takes the coldest idle one;
+* **bounded incarnations** — an incarnation retires politely after
+  ``recycle_after`` jobs or once its reported peak RSS crosses
+  ``max_worker_rss_mb``.  ``recycle_after=1`` is the fresh-process
+  pool: every job runs on a newly forked worker;
+* **heartbeats and a watchdog** — every worker beats over its pipe from
+  a side thread.  An incarnation silent for ``watchdog`` seconds is
+  hung and is reaped (SIGTERM, then SIGKILL after ``term_grace``).  A
+  hung job is an infrastructure fault and is retried; a hung idle
+  incarnation is culled before a job can be routed to it;
+* **retries with deterministic backoff** — a job whose worker was lost
+  or hung is rescheduled after ``backoff_base * 2**(failures-1)``
+  seconds (capped at ``backoff_cap``), scaled by a jitter drawn from
+  :class:`~repro.workloads.XorShift32` seeded by the job digest, the
+  failure count and :data:`BACKOFF_SEED`.  Same batch, same faults =>
+  same schedule, so retry timing cannot leak into results;
+* **per-job timeout** — a job over ``timeout`` seconds is reaped with
+  its incarnation and reported ``timeout`` without a retry: a
+  deterministic job that timed out once will time out again;
+* **poison quarantine** — a digest whose workers are lost
+  ``poison_after`` times is a crash loop.  It is reported ``poisoned``
+  and the pool refuses that digest (attempts=0) for the rest of its
+  life;
+* **degrade to serial** — if the OS refuses to spawn a worker and no
+  idle incarnation is left, the pool runs the remaining jobs in this
+  process (``fallback_serial=False`` raises
+  :class:`~repro.errors.SpawnError` instead).  Probes that would kill
+  or wedge the caller fail structurally;
+* **chaos hooks** — an optional :class:`~repro.serve.chaos.ChaosMonkey`
+  may order an incarnation killed or hung per (digest, attempt), which
+  is how the differential harness proves that none of the above shows
+  in an outcome table.
 
-Both modes dispatch **event-driven**: the scheduler blocks in
-``multiprocessing.connection.wait`` over the worker pipes with a
-timeout derived from the *earliest actual deadline* (retry backoff
-expiry, per-job timeout, watchdog), not a fixed polling tick, so a job
-completion wakes the dispatcher immediately.
+The loop is event-driven: it blocks in
+``multiprocessing.connection.wait`` over the worker pipes until a
+message or EOF arrives or the earliest real deadline (retry backoff,
+per-job timeout, watchdog) passes.  Workers are forked where the
+platform allows it.
 
-The executor contract is unchanged: ``run(specs, on_result=None)``
-returns outcomes **in input order**, results are byte-identical to
-:class:`~repro.serve.executors.SerialExecutor`, and no failure mode
-may hang the pool or drop a result.
+The executor contract is :class:`~repro.serve.executors.
+SerialExecutor`'s: ``run(specs, on_result=None)`` returns outcomes in
+input order, byte-identical to serial execution, and no failure may
+hang the pool or drop a result.
 """
 
 from __future__ import annotations
@@ -86,20 +69,21 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError, ServeError, SpawnError
+from repro.errors import ServeError, SpawnError
 from repro.serve.executors import (
     DEFAULT_TERM_GRACE,
     STATUS_CRASHED,
-    STATUS_ERROR,
     STATUS_OK,
     STATUS_POISONED,
     STATUS_TIMEOUT,
     JobOutcome,
     OnResult,
+    execute_job,
+    kills_the_process,
     reap_process,
 )
-from repro.serve.jobspec import KIND_PROBE, JobSpec
-from repro.serve.worker import execute_payload, execute_spec, worker_stats
+from repro.serve.jobspec import JobSpec
+from repro.serve.worker import worker_stats
 from repro.workloads import XorShift32
 
 #: Message tag workers interleave with their result messages.
@@ -109,78 +93,33 @@ HEARTBEAT = "heartbeat"
 CHAOS_KILL = "kill"
 CHAOS_HANG = "hang"
 
+#: Seed mixed into every retry's backoff jitter.
+BACKOFF_SEED = 0x5EED
+
 #: Upper bound on any single scheduler wait.  Waits normally end at the
 #: earliest real deadline or on a pipe event; this cap only insures
 #: against a lost-wakeup bug ever wedging the pool.
 _POLL_CAP = 1.0
 
-
-def _supervised_child_entry(payload, conn, heartbeat: float,
-                            directive: Optional[str]) -> None:
-    """Fresh-mode worker body: heartbeat from a side thread, report one
-    result, exit.
-
-    A chaos ``kill`` directive dies instantly without reporting (a
-    machine-level worker loss); ``hang`` wedges *without* starting the
-    heartbeat thread, so the parent watchdog — not the per-job timeout
-    — must notice.
-    """
-    if directive == CHAOS_KILL:
-        os._exit(137)
-    if directive == CHAOS_HANG:
-        while True:  # pragma: no cover - reaped by the parent watchdog
-            time.sleep(3600)
-
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    if heartbeat > 0:
-        def beat() -> None:
-            sequence = 0
-            while not stop.wait(heartbeat):
-                sequence += 1
-                try:
-                    with send_lock:
-                        if stop.is_set():
-                            return
-                        conn.send((HEARTBEAT, sequence, None))
-                except OSError:  # pragma: no cover - parent went away
-                    return
-
-        threading.Thread(target=beat, daemon=True).start()
-    try:
-        try:
-            result, meta = execute_payload(payload)
-            message = (STATUS_OK, result, meta)
-        except ReproError as error:
-            message = (STATUS_ERROR, str(error), None)
-        except Exception as error:  # noqa: BLE001 - report, don't die
-            message = (STATUS_ERROR, f"{type(error).__name__}: {error}",
-                       None)
-        with send_lock:
-            stop.set()
-            conn.send(message)
-    finally:
-        stop.set()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - pipe already gone
-            pass
+_METHODS = multiprocessing.get_all_start_methods()
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in _METHODS else _METHODS[0])
 
 
 def _warm_child_entry(conn, heartbeat: float) -> None:
-    """Warm-mode worker body: loop over pipe-fed jobs until told to
-    stop, heartbeating for the life of the incarnation.
+    """Worker body: run pipe-fed jobs until told to stop, heartbeating
+    for the life of the incarnation.
 
     Parent -> worker messages: ``("job", payload, directive)`` runs one
     job; ``("stop",)`` (or EOF) ends the incarnation cleanly.  Chaos
-    directives fault *this* incarnation mid-stream: ``kill`` dies
-    without reporting, ``hang`` silences the heartbeat thread first and
-    then wedges — modelling a stop-the-world process hang the parent
-    watchdog (not the per-job timeout) must notice.
+    directives fault *this* incarnation: ``kill`` dies without
+    reporting, ``hang`` silences the heartbeat thread and then wedges —
+    a stop-the-world hang the parent watchdog (not the per-job timeout)
+    must notice.
 
     Every result message carries :func:`~repro.serve.worker.
     worker_stats` (peak RSS + checker-memo counters), which the parent
-    uses for recycle decisions and warm-pool telemetry.
+    uses for recycle decisions and telemetry.
     """
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -214,17 +153,11 @@ def _warm_child_entry(conn, heartbeat: float) -> None:
                 stop.set()
                 while True:  # pragma: no cover - reaped by the parent
                     time.sleep(3600)
-            try:
-                result, meta = execute_payload(payload)
-                message = (STATUS_OK, result, meta, worker_stats())
-            except ReproError as error:
-                message = (STATUS_ERROR, str(error), None, worker_stats())
-            except Exception as error:  # noqa: BLE001 - report, don't die
-                message = (STATUS_ERROR,
-                           f"{type(error).__name__}: {error}", None,
-                           worker_stats())
+            outcome = execute_job(JobSpec.from_payload(payload), 0)
+            result = outcome.payload if outcome.ok else outcome.error
             with send_lock:
-                conn.send(message)
+                conn.send((outcome.status, result, outcome.meta,
+                           worker_stats()))
     finally:
         stop.set()
         try:
@@ -234,18 +167,8 @@ def _warm_child_entry(conn, heartbeat: float) -> None:
 
 
 @dataclass
-class _Worker:
-    """Fresh-mode bookkeeping: one worker, one job, then gone."""
-
-    index: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-    last_beat: float
-
-
-@dataclass
 class _Assignment:
-    """The job a warm incarnation is currently executing."""
+    """The job an incarnation is currently executing."""
 
     index: int
     key: str
@@ -255,7 +178,7 @@ class _Assignment:
 
 @dataclass
 class _WarmWorker:
-    """One warm worker incarnation and the warm state it has built."""
+    """One worker incarnation and the warm state it has built."""
 
     generation: int
     process: multiprocessing.process.BaseProcess
@@ -273,19 +196,25 @@ class _WarmWorker:
 class SupervisedPool:
     """Fault-tolerant process-parallel executor (see module docstring).
 
-    Parameters beyond :class:`~repro.serve.executors.PoolExecutor`:
-
+    ``jobs``
+        Most worker incarnations alive at once.
+    ``timeout``
+        Per-job budget (s); an overrun is reaped and reported
+        ``timeout`` without a retry.
+    ``retries``
+        Re-runs granted after a lost *or* watchdog-declared hung
+        worker.
+    ``term_grace``
+        Seconds a SIGTERM'd worker gets before the reap sends SIGKILL.
     ``heartbeat``
         Interval (s) between worker heartbeats; 0 disables them (and
         the watchdog with them).
     ``watchdog``
         Heartbeat silence (s) after which a worker counts as hung.
         Must comfortably exceed ``heartbeat``.
-    ``retries``
-        Re-runs granted after a crash *or* a watchdog-declared hang.
     ``poison_after``
-        Worker crashes (per job digest) that trigger quarantine.
-    ``backoff_base`` / ``backoff_cap`` / ``backoff_seed``
+        Lost workers (per job digest) that trigger quarantine.
+    ``backoff_base`` / ``backoff_cap``
         Exponential-backoff schedule for retries, jittered
         deterministically from the job digest.
     ``fallback_serial``
@@ -294,30 +223,32 @@ class SupervisedPool:
     ``chaos``
         Optional :class:`~repro.serve.chaos.ChaosMonkey` consulted per
         (digest, attempt) for an injected worker fault.
-    ``warm``
-        Keep worker processes alive across jobs (and across ``run()``
-        calls) and route jobs onto workers whose in-process caches
-        already cover them.  Results remain byte-identical to serial
-        execution — warm reuse is a pure perf knob.
     ``recycle_after``
-        Warm mode: retire an incarnation after this many jobs.
+        Retire an incarnation after this many jobs.  ``1`` runs every
+        job on a fresh process; ``None`` never retires on job count.
     ``max_worker_rss_mb``
-        Warm mode: retire an incarnation whose reported peak RSS
-        exceeds this many MB.
+        Retire an incarnation whose reported peak RSS exceeds this
+        many MB.
+    ``warm``
+        Accepted only as ``True``, for callers that still spell the
+        default out; fresh-process semantics are ``recycle_after=1``.
     """
 
     def __init__(self, jobs: int = 2, timeout: Optional[float] = None,
-                 retries: int = 2, start_method: Optional[str] = None,
+                 retries: int = 2,
                  term_grace: float = DEFAULT_TERM_GRACE,
                  heartbeat: float = 0.25, watchdog: Optional[float] = 5.0,
                  poison_after: int = 3,
                  backoff_base: float = 0.05, backoff_cap: float = 2.0,
-                 backoff_seed: int = 0x5EED,
                  fallback_serial: bool = True,
                  chaos=None,
-                 warm: bool = False,
                  recycle_after: Optional[int] = None,
-                 max_worker_rss_mb: Optional[float] = None):
+                 max_worker_rss_mb: Optional[float] = None,
+                 warm: bool = True):
+        if warm is not True:
+            raise ServeError("SupervisedPool always runs warm worker "
+                             "incarnations; pass recycle_after=1 for a "
+                             "fresh process per job")
         if jobs < 1:
             raise ServeError("SupervisedPool needs jobs >= 1")
         if timeout is not None and timeout <= 0:
@@ -349,22 +280,20 @@ class SupervisedPool:
         self.poison_after = poison_after
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.backoff_seed = backoff_seed
         self.fallback_serial = fallback_serial
         self.chaos = chaos
-        self.warm = warm
         self.recycle_after = recycle_after
         self.max_worker_rss_mb = max_worker_rss_mb
         #: True once the pool has fallen back to in-process execution.
         self.degraded = False
         #: digest -> quarantine reason, persistent across run() calls.
         self._quarantined: Dict[str, str] = {}
-        #: Warm incarnations, persistent across run() calls.
+        #: Live incarnations, persistent across run() calls.
         self._warm_workers: Dict[object, _WarmWorker] = {}
         self._generations = 0
-        #: Warm-fabric telemetry (see :meth:`telemetry`).
+        #: Pool telemetry (see :meth:`telemetry`).
         self.counters: Dict[str, int] = {
-            "dispatched": 0,        # jobs sent to warm workers
+            "dispatched": 0,        # jobs sent to workers
             "spawns": 0,            # incarnations started
             "reused_jobs": 0,       # jobs run on a non-fresh incarnation
             "affinity_hits": 0,     # routed onto a worker hot for the key
@@ -374,10 +303,6 @@ class SupervisedPool:
             "workers_lost": 0,      # incarnations that died uncommanded
             "idle_culled": 0,       # silent idle incarnations reaped
         }
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
 
     # -- deterministic backoff ----------------------------------------
 
@@ -385,15 +310,15 @@ class SupervisedPool:
         """Sleep before retry number ``failures`` of job ``digest``.
 
         ``base * 2**(failures-1)`` capped, scaled into [0.5x, 1.0x] by
-        a jitter drawn deterministically from (digest, failures, pool
-        seed) — spreads retry storms without making the schedule
-        depend on wall clock or scheduling order.
+        a jitter drawn deterministically from (digest, failures,
+        :data:`BACKOFF_SEED`) — spreads retry storms without making the
+        schedule depend on wall clock or scheduling order.
         """
         if self.backoff_base == 0:
             return 0.0
         window = min(self.backoff_cap,
                      self.backoff_base * (2 ** max(0, failures - 1)))
-        seed = (int(digest[:8], 16) ^ self.backoff_seed ^ failures) or 1
+        seed = (int(digest[:8], 16) ^ BACKOFF_SEED ^ failures) or 1
         jitter = XorShift32(seed).next() / 2 ** 32
         return window * (0.5 + 0.5 * jitter)
 
@@ -409,11 +334,14 @@ class SupervisedPool:
             self.chaos.log.record("quarantine", digest=digest,
                                   reason=reason)
 
-    # -- warm-fabric lifecycle and telemetry ---------------------------
+    # -- incarnation lifecycle and telemetry ---------------------------
 
     def telemetry(self) -> Dict[str, object]:
-        """Warm-fabric health: reuse and affinity rates, recycles,
-        per-incarnation job counts, RSS and live memo sizes."""
+        """Pool health: reuse and affinity rates, recycles,
+        per-incarnation job counts, RSS and live memo sizes.
+
+        ``warm`` is False for a fresh-process pool
+        (``recycle_after=1``)."""
         dispatched = self.counters["dispatched"]
         routed = (self.counters["affinity_hits"]
                   + self.counters["affinity_misses"])
@@ -429,7 +357,7 @@ class SupervisedPool:
                 "checker_memo": stats.get("checker_memo"),
             })
         return {
-            "warm": self.warm,
+            "warm": self.recycle_after != 1,
             "degraded": self.degraded,
             **self.counters,
             "recycles": (self.counters["recycles_jobs"]
@@ -443,9 +371,9 @@ class SupervisedPool:
         }
 
     def _spawn_warm(self) -> _WarmWorker:
-        """Start one warm incarnation; raises OSError on spawn failure."""
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
+        """Start one incarnation; raises OSError on spawn failure."""
+        parent_conn, child_conn = _CONTEXT.Pipe(duplex=True)
+        process = _CONTEXT.Process(
             target=_warm_child_entry,
             args=(child_conn, self.heartbeat),
             daemon=True,
@@ -464,22 +392,24 @@ class SupervisedPool:
         self._warm_workers[parent_conn] = worker
         return worker
 
-    def _drop_warm(self, worker: _WarmWorker, stop: bool) -> None:
-        """Remove one incarnation: politely (``stop``) or by reaping."""
+    def _drop_warm(self, worker: _WarmWorker, stop: bool) -> str:
+        """Remove one incarnation: politely (``stop``) or by reaping.
+        Returns what ended the process (see :func:`reap_process`)."""
         self._warm_workers.pop(worker.conn, None)
         if stop:
             try:
                 worker.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
-        reap_process(worker.process, self.term_grace)
+        ended_by = reap_process(worker.process, self.term_grace)
         try:
             worker.conn.close()
         except OSError:
             pass
+        return ended_by
 
     def close(self) -> None:
-        """Retire every warm incarnation (idle and busy alike).
+        """Retire every incarnation (idle and busy alike).
 
         The pool remains usable — the next ``run()`` spawns fresh
         incarnations — so ``close()`` doubles as a manual full recycle.
@@ -493,56 +423,18 @@ class SupervisedPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- spawning and degraded execution ------------------------------
-
-    def _spawn(self, payload, directive: Optional[str]):
-        """Start one fresh-mode worker; returns (parent_conn, process)."""
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_supervised_child_entry,
-            args=(payload, child_conn, self.heartbeat, directive),
-            daemon=True,
-        )
-        try:
-            process.start()
-        except OSError:
-            parent_conn.close()
-            child_conn.close()
-            raise
-        child_conn.close()
-        return parent_conn, process
+    # -- scheduling helpers --------------------------------------------
 
     def _run_inline(self, spec: JobSpec, index: int,
                     attempt: int, cause: str) -> JobOutcome:
         """Degraded mode: execute one job in-process, structurally."""
-        if spec.kind == KIND_PROBE and spec.behavior in ("crash", "hang",
-                                                         "stubborn"):
+        if kills_the_process(spec):
             return JobOutcome(
                 spec=spec, index=index, status=STATUS_CRASHED,
                 error=(f"probe({spec.behavior}) cannot run in degraded "
                        f"serial mode (process spawning failed: {cause})"),
                 attempts=attempt, meta={"degraded": True})
-        started = time.perf_counter()
-        try:
-            payload, meta = execute_spec(spec)
-            meta = dict(meta or {})
-            meta["degraded"] = True
-            return JobOutcome(spec=spec, index=index, status=STATUS_OK,
-                              payload=payload, meta=meta,
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt)
-        except ReproError as error:
-            return JobOutcome(spec=spec, index=index, status=STATUS_ERROR,
-                              error=str(error),
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt, meta={"degraded": True})
-        except Exception as error:  # noqa: BLE001 - structured outcome
-            return JobOutcome(spec=spec, index=index, status=STATUS_ERROR,
-                              error=f"{type(error).__name__}: {error}",
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt, meta={"degraded": True})
-
-    # -- shared scheduling helpers ------------------------------------
+        return execute_job(spec, index, attempt, degraded=True)
 
     @staticmethod
     def _wait_budget(now: float, deadlines: List[float]) -> float:
@@ -553,207 +445,8 @@ class SupervisedPool:
             return _POLL_CAP
         return min(_POLL_CAP, max(0.0, min(deadlines) - now))
 
-    # -- the supervision loop (dispatch) ------------------------------
-
-    def run(self, specs: Sequence[JobSpec],
-            on_result: Optional[OnResult] = None) -> List[JobOutcome]:
-        if self.warm:
-            return self._run_warm(list(specs), on_result)
-        return self._run_fresh(list(specs), on_result)
-
-    # -- fresh mode: one process per job ------------------------------
-
-    def _run_fresh(self, specs: List[JobSpec],
-                   on_result: Optional[OnResult]) -> List[JobOutcome]:
-        payloads = [spec.to_payload() for spec in specs]
-        digests = [spec.digest() for spec in specs]
-        results: Dict[int, JobOutcome] = {}
-        ready: deque = deque(range(len(specs)))
-        delayed: List[Tuple[float, int]] = []   # (ready_at, index)
-        running: Dict[object, _Worker] = {}
-        attempts = [0] * len(specs)
-        failures = [0] * len(specs)             # crashes + hangs
-
-        def finish(outcome: JobOutcome) -> None:
-            results[outcome.index] = outcome
-            if on_result is not None:
-                on_result(outcome)
-
-        def retry_or(index: int, make_outcome) -> None:
-            """Common crash/hang disposition: quarantine, retry with
-            backoff, or surface the structured outcome."""
-            digest = digests[index]
-            if failures[index] >= self.poison_after:
-                reason = (f"crash-looped: {failures[index]} worker(s) "
-                          f"lost over {attempts[index]} attempt(s)")
-                self._quarantine(digest, reason)
-                finish(JobOutcome(
-                    spec=specs[index], index=index,
-                    status=STATUS_POISONED,
-                    error=f"job quarantined as poisoned ({reason})",
-                    attempts=attempts[index]))
-            elif attempts[index] <= self.retries:
-                delay = self.backoff_delay(digest, failures[index])
-                delayed.append((time.monotonic() + delay, index))
-            else:
-                finish(make_outcome())
-
-        while len(results) < len(specs):
-            now = time.monotonic()
-            if delayed:
-                due = [entry for entry in delayed if entry[0] <= now]
-                if due:
-                    delayed = [entry for entry in delayed
-                               if entry[0] > now]
-                    # Input order among simultaneously-due retries.
-                    ready.extend(sorted(index for _, index in due))
-
-            while ready and len(running) < self.jobs:
-                index = ready.popleft()
-                digest = digests[index]
-                if digest in self._quarantined:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_POISONED,
-                        error=("job digest is quarantined: "
-                               + self._quarantined[digest]),
-                        attempts=attempts[index]))
-                    continue
-                attempts[index] += 1
-                directive = None
-                if self.chaos is not None:
-                    directive = self.chaos.worker_directive(
-                        digest, attempts[index])
-                if self.degraded:
-                    finish(self._run_inline(specs[index], index,
-                                            attempts[index],
-                                            "pool already degraded"))
-                    continue
-                try:
-                    conn, process = self._spawn(payloads[index],
-                                                directive)
-                except OSError as error:
-                    if not self.fallback_serial:
-                        raise SpawnError(
-                            f"cannot spawn a worker process: {error}"
-                        ) from error
-                    self.degraded = True
-                    finish(self._run_inline(specs[index], index,
-                                            attempts[index], str(error)))
-                    continue
-                started = time.monotonic()
-                running[conn] = _Worker(index, process, started, started)
-
-            # Event-driven wait: block until a worker heartbeats,
-            # reports, or exits (EOF) — or until the earliest pending
-            # deadline (retry backoff, per-job timeout, watchdog).
-            deadlines: List[float] = []
-            for worker in running.values():
-                if self.timeout is not None:
-                    deadlines.append(worker.started + self.timeout)
-                if self.watchdog is not None:
-                    deadlines.append(worker.last_beat + self.watchdog)
-            if delayed:
-                deadlines.append(min(at for at, _ in delayed))
-            budget = self._wait_budget(time.monotonic(), deadlines)
-            if not running:
-                if ready:
-                    continue  # degraded fast path: dispatch inline
-                if budget > 0:
-                    time.sleep(budget)
-                continue
-            for conn in connection_wait(list(running), timeout=budget):
-                worker = running[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                if message is not None and message[0] == HEARTBEAT:
-                    worker.last_beat = time.monotonic()
-                    continue
-                del running[conn]
-                conn.close()
-                reap_process(worker.process, self.term_grace)
-                elapsed = time.monotonic() - worker.started
-                index = worker.index
-                if message is None:
-                    failures[index] += 1
-                    exit_code = worker.process.exitcode
-
-                    def crashed(index=index, exit_code=exit_code,
-                                elapsed=elapsed) -> JobOutcome:
-                        return JobOutcome(
-                            spec=specs[index], index=index,
-                            status=STATUS_CRASHED,
-                            error=(f"worker died without reporting "
-                                   f"(exit code {exit_code}) after "
-                                   f"{attempts[index]} attempt(s)"),
-                            seconds=elapsed, attempts=attempts[index])
-
-                    retry_or(index, crashed)
-                    continue
-                status, data, meta = message
-                if status == STATUS_OK:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index, status=STATUS_OK,
-                        payload=data, meta=meta, seconds=elapsed,
-                        attempts=attempts[index]))
-                else:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_ERROR, error=data, seconds=elapsed,
-                        attempts=attempts[index]))
-
-            now = time.monotonic()
-            for conn, worker in list(running.items()):
-                index = worker.index
-                overdue = self.timeout is not None \
-                    and now - worker.started >= self.timeout
-                hung = self.watchdog is not None \
-                    and now - worker.last_beat >= self.watchdog
-                if not (overdue or hung):
-                    continue
-                del running[conn]
-                conn.close()
-                ended_by = reap_process(worker.process, self.term_grace)
-                elapsed = now - worker.started
-                if overdue:
-                    # Deterministic per-job budget: no retry.
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_TIMEOUT,
-                        error=(f"job exceeded the {self.timeout:g}s "
-                               f"per-job timeout and was terminated "
-                               f"(worker ended by {ended_by})"),
-                        seconds=elapsed, attempts=attempts[index]))
-                    continue
-                # Heartbeat silence: infrastructure fault, retried.
-                failures[index] += 1
-                silence = now - worker.last_beat
-                if self.chaos is not None:
-                    self.chaos.log.record(
-                        "watchdog-reap", digest=digests[index],
-                        attempt=attempts[index], ended_by=ended_by)
-
-                def hung_out(index=index, silence=silence,
-                             ended_by=ended_by,
-                             elapsed=elapsed) -> JobOutcome:
-                    return JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_TIMEOUT,
-                        error=(f"watchdog declared the worker hung "
-                               f"(no heartbeat for {silence:.2f}s) on "
-                               f"all {attempts[index]} attempt(s); "
-                               f"last worker ended by {ended_by}"),
-                        seconds=elapsed, attempts=attempts[index])
-
-                retry_or(index, hung_out)
-
-        return [results[index] for index in range(len(specs))]
-
-    # -- warm mode: persistent workers with affinity routing ----------
-
-    def _route(self, ready: deque, keys: List[str]
+    @staticmethod
+    def _route(ready: deque, keys: List[str], idle: List[_WarmWorker]
                ) -> Tuple[int, Optional[_WarmWorker], bool]:
         """Pick the next (job, worker) pairing.
 
@@ -764,8 +457,6 @@ class SupervisedPool:
         else reuses the coldest idle one.  Routing order cannot affect
         results (outcomes are assembled by input index).
         """
-        idle = [worker for worker in self._warm_workers.values()
-                if worker.current is None]
         if idle:
             hot_keys = set()
             for worker in idle:
@@ -779,8 +470,11 @@ class SupervisedPool:
                     return index, worker, True
         return ready.popleft(), None, False
 
-    def _run_warm(self, specs: List[JobSpec],
-                  on_result: Optional[OnResult]) -> List[JobOutcome]:
+    # -- the dispatch loop ---------------------------------------------
+
+    def run(self, specs: Sequence[JobSpec],
+            on_result: Optional[OnResult] = None) -> List[JobOutcome]:
+        specs = list(specs)
         payloads = [spec.to_payload() for spec in specs]
         digests = [spec.digest() for spec in specs]
         keys = [spec.affinity_key() for spec in specs]
@@ -788,7 +482,8 @@ class SupervisedPool:
         ready: deque = deque(range(len(specs)))
         delayed: List[Tuple[float, int]] = []   # (ready_at, index)
         attempts = [0] * len(specs)
-        failures = [0] * len(specs)             # crashes + hangs
+        failures = [0] * len(specs)             # lost + hung workers
+        degraded_cause = "pool already degraded"
 
         # Incarnations idle since the previous run() have stale beat
         # stamps (nobody was reading their pipe); re-arm the watchdog
@@ -803,6 +498,8 @@ class SupervisedPool:
                 on_result(outcome)
 
         def retry_or(index: int, make_outcome) -> None:
+            """Common lost/hung disposition: quarantine, retry with
+            backoff, or surface the structured outcome."""
             digest = digests[index]
             if failures[index] >= self.poison_after:
                 reason = (f"crash-looped: {failures[index]} worker(s) "
@@ -831,32 +528,21 @@ class SupervisedPool:
                 if due:
                     delayed = [entry for entry in delayed
                                if entry[0] > now]
+                    # Input order among simultaneously-due retries.
                     ready.extend(sorted(index for _, index in due))
 
             # -- dispatch: affinity routing onto idle/new incarnations
             while ready:
-                if self.degraded:
-                    index = ready.popleft()
-                    digest = digests[index]
-                    if digest in self._quarantined:
-                        finish(JobOutcome(
-                            spec=specs[index], index=index,
-                            status=STATUS_POISONED,
-                            error=("job digest is quarantined: "
-                                   + self._quarantined[digest]),
-                            attempts=attempts[index]))
-                        continue
-                    attempts[index] += 1
-                    finish(self._run_inline(specs[index], index,
-                                            attempts[index],
-                                            "pool already degraded"))
-                    continue
-                have_idle = any(worker.current is None for worker
-                                in self._warm_workers.values())
-                if not have_idle \
-                        and len(self._warm_workers) >= self.jobs:
+                idle = [worker for worker in self._warm_workers.values()
+                        if worker.current is None]
+                if not (self.degraded or idle
+                        or len(self._warm_workers) < self.jobs):
                     break  # every incarnation is busy
-                index, worker, affinity_hit = self._route(ready, keys)
+                if self.degraded:
+                    index, worker, affinity_hit = ready.popleft(), None, False
+                else:
+                    index, worker, affinity_hit = self._route(ready, keys,
+                                                              idle)
                 digest = digests[index]
                 if digest in self._quarantined:
                     finish(JobOutcome(
@@ -866,32 +552,27 @@ class SupervisedPool:
                                + self._quarantined[digest]),
                         attempts=attempts[index]))
                     continue
-                if worker is None and \
-                        len(self._warm_workers) < self.jobs:
+                if worker is None and not self.degraded \
+                        and len(self._warm_workers) < self.jobs:
                     try:
                         worker = self._spawn_warm()
                     except OSError as error:
-                        idle = [w for w in self._warm_workers.values()
-                                if w.current is None]
-                        if idle:
-                            # Spawning is refused but live incarnations
-                            # remain: keep serving on what we have.
-                            worker = min(idle, key=lambda w:
-                                         (len(w.keys), w.generation))
-                        elif not self.fallback_serial:
-                            raise SpawnError(
-                                f"cannot spawn a worker process: "
-                                f"{error}") from error
-                        else:
+                        # Spawning is refused.  Keep serving on live
+                        # idle incarnations; degrade once none is left.
+                        if not idle:
+                            if not self.fallback_serial:
+                                raise SpawnError(
+                                    f"cannot spawn a worker process: "
+                                    f"{error}") from error
                             self.degraded = True
-                            attempts[index] += 1
-                            finish(self._run_inline(
-                                specs[index], index, attempts[index],
-                                str(error)))
-                            continue
+                            degraded_cause = str(error)
+                if self.degraded:
+                    attempts[index] += 1
+                    finish(self._run_inline(specs[index], index,
+                                            attempts[index],
+                                            degraded_cause))
+                    continue
                 if worker is None:
-                    idle = [w for w in self._warm_workers.values()
-                            if w.current is None]
                     worker = min(idle, key=lambda w:
                                  (len(w.keys), w.generation))
                 attempt = attempts[index] + 1
@@ -993,12 +674,11 @@ class SupervisedPool:
                     "rss_kb": (wstats or {}).get("rss_kb"),
                     "checker_memo": (wstats or {}).get("checker_memo"),
                 }
+                ok = status == STATUS_OK
                 finish(JobOutcome(
-                    spec=specs[index], index=index,
-                    status=STATUS_OK if status == STATUS_OK
-                    else STATUS_ERROR,
-                    payload=data if status == STATUS_OK else None,
-                    error=None if status == STATUS_OK else data,
+                    spec=specs[index], index=index, status=status,
+                    payload=data if ok else None,
+                    error=None if ok else data,
                     meta=meta, seconds=elapsed,
                     attempts=attempts[index]))
                 # Bounded incarnations: recycle on the job-count or
@@ -1017,7 +697,7 @@ class SupervisedPool:
 
             # -- deadline scan: per-job timeouts, hung incarnations
             now = time.monotonic()
-            for conn, worker in list(self._warm_workers.items()):
+            for worker in list(self._warm_workers.values()):
                 assignment = worker.current
                 silent = self.watchdog is not None \
                     and now - worker.last_beat >= self.watchdog
@@ -1033,12 +713,7 @@ class SupervisedPool:
                     and now - assignment.started >= self.timeout
                 if not (overdue or silent):
                     continue
-                self._warm_workers.pop(conn, None)
-                ended_by = reap_process(worker.process, self.term_grace)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                ended_by = self._drop_warm(worker, stop=False)
                 elapsed = now - assignment.started
                 if overdue:
                     # Deterministic per-job budget: no retry.  The

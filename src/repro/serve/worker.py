@@ -1,11 +1,13 @@
 """Job execution: turn a :class:`~repro.serve.jobspec.JobSpec` into a
 deterministic result payload.
 
-:func:`execute_spec` is the single entry point; it runs in-process for
-the :class:`~repro.serve.executors.SerialExecutor` and in a fresh
-worker process for the :class:`~repro.serve.executors.PoolExecutor`
-(via :func:`execute_payload`, which only needs a JSON dict and is
-therefore safe under any multiprocessing start method).
+:func:`execute_spec` is the single entry point.  It runs in-process
+under :class:`~repro.serve.executors.SerialExecutor` and inside a worker
+incarnation of :class:`~repro.serve.supervisor.SupervisedPool`, which
+receives each job as a JSON payload dict and rebuilds the spec with
+:meth:`~repro.serve.jobspec.JobSpec.from_payload`.  Module-level memos
+(:data:`_CHECKER_MEMO`, the compile caches) therefore live as long as
+the incarnation, and :func:`worker_stats` reports them to the pool.
 
 Every job returns two dicts:
 
@@ -319,7 +321,7 @@ def _execute_probe(spec: JobSpec) -> Tuple[Payload, Payload]:
 
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     # "hang"/"stubborn": spin until the executor reaps us.
-    while True:  # pragma: no cover - exercised via PoolExecutor timeout
+    while True:  # pragma: no cover - exercised via the pool's timeout
         time.sleep(0.05)
 
 
@@ -335,7 +337,3 @@ def execute_spec(spec: JobSpec) -> Tuple[Payload, Payload]:
     """Run one job; returns ``(deterministic payload, timing meta)``."""
     return _HANDLERS[spec.kind](spec)
 
-
-def execute_payload(payload: Payload) -> Tuple[Payload, Payload]:
-    """Worker-process entry point: payload dict in, result dicts out."""
-    return execute_spec(JobSpec.from_payload(payload))

@@ -114,11 +114,11 @@ class TestDifferentialGate:
 class TestDeterminismAcrossExecutionPaths:
     def test_serial_pool_and_cache_replay_are_byte_identical(
             self, spec, tmp_path):
-        from repro.serve import PoolExecutor, ResultCache
+        from repro.serve import ResultCache, SupervisedPool
 
         serial, _ = run_tune(spec)
         pooled, _ = run_tune(
-            spec, executor=PoolExecutor(jobs=2),
+            spec, executor=SupervisedPool(jobs=2, recycle_after=1),
             cache=ResultCache(str(tmp_path / "cache")))
         warm, _ = run_tune(
             spec, cache=ResultCache(str(tmp_path / "cache")))

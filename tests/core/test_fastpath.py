@@ -49,9 +49,9 @@ def architectural_state(cpu):
 def run_both(config, program, mem_words):
     """Run the same program on both engines; returns the two machines."""
     slow = EpicProcessor(config, program, mem_words=mem_words)
-    slow_result = slow.run(fast=False)
+    slow_result = slow.run(engine="reference")
     fast = EpicProcessor(config, program, mem_words=mem_words)
-    fast_result = fast.run(fast=True)
+    fast_result = fast.run(engine="fast")
     assert slow_result.cycles == fast_result.cycles
     assert stats_fingerprint(slow.stats) == stats_fingerprint(fast.stats)
     assert architectural_state(slow) == architectural_state(fast)
@@ -140,11 +140,11 @@ class TestTrapEquivalence:
     def test_oob_store_trap_matches_instrumented(self):
         config = epic_config()
         observed = []
-        for fast in (False, True):
+        for engine in ("reference", "fast"):
             cpu = EpicProcessor(config, assemble(OOB_STORE, config),
                                 mem_words=64)
             with pytest.raises(TrapError) as info:
-                cpu.run(max_cycles=100, fast=fast)
+                cpu.run(max_cycles=100, engine=engine)
             observed.append(
                 (info.value.cause, info.value.cycle, info.value.pc,
                  cpu.stats.traps, len(cpu.traps))
@@ -162,30 +162,30 @@ class TestEligibility:
     def test_fast_refused_with_tracer(self):
         cpu = self.make()
         with pytest.raises(SimulationError, match="fast path requested"):
-            cpu.run(trace=Tracer(), fast=True)
+            cpu.run(trace=Tracer(), engine="fast")
 
     def test_fast_refused_with_injector(self):
         cpu = self.make(injector=FaultInjector([]))
         with pytest.raises(SimulationError, match="fast path requested"):
-            cpu.run(fast=True)
+            cpu.run(engine="fast")
 
     def test_fast_refused_with_strict_nual(self):
         cpu = self.make(strict_nual=True)
         with pytest.raises(SimulationError, match="fast path requested"):
-            cpu.run(fast=True)
+            cpu.run(engine="fast")
 
     def test_fast_refused_under_non_halt_policy(self):
         config = epic_config(trap_policy="record-and-continue")
         cpu = EpicProcessor(config, assemble(FORWARDING_HEAVY, config),
                             mem_words=256)
         with pytest.raises(SimulationError, match="fast path requested"):
-            cpu.run(fast=True)
+            cpu.run(engine="fast")
 
     def test_fast_refused_with_planted_parity_fault(self):
         cpu = self.make()
         cpu.gpr.poison(4)
         with pytest.raises(SimulationError, match="fast path requested"):
-            cpu.run(fast=True)
+            cpu.run(engine="fast")
 
     def test_poisoned_run_takes_parity_checking_path(self):
         # Auto dispatch must route a poisoned machine to the
@@ -250,7 +250,7 @@ class TestEligibility:
         branch_bundle.ops.append(copy.copy(branch_op))
         with pytest.raises(SimulationError,
                            match="more than one control operation"):
-            cpu.run(max_cycles=100, fast=True)
+            cpu.run(max_cycles=100, engine="fast")
         assert cpu.fastpath_reject_reason == \
             "more than one control operation in a bundle"
         result = cpu.run(max_cycles=100)  # auto: quiet fallback
@@ -267,7 +267,7 @@ class TestEligibility:
                       if op.kind == dec.K_ALU)
         add_op.latency = 0
         with pytest.raises(SimulationError, match="cannot be specialised"):
-            cpu.run(fast=True)
+            cpu.run(engine="fast")
         assert cpu.fastpath_reject_reason == \
             "write-back latency below one cycle"
         assert cpu.stats.fastpath_reject_reason == cpu.fastpath_reject_reason
@@ -295,7 +295,7 @@ class TestEligibility:
         result = cpu.run(max_cycles=100)  # auto: quiet fallback
         assert cpu._fastsim is False  # marked ineligible, cached
         with pytest.raises(SimulationError, match="cannot be specialised"):
-            cpu.run(max_cycles=100, fast=True)
+            cpu.run(max_cycles=100, engine="fast")
         reference = EpicProcessor(small, program, mem_words=64)
-        assert reference.run(max_cycles=100, fast=False).cycles \
+        assert reference.run(max_cycles=100, engine="reference").cycles \
             == result.cycles

@@ -300,9 +300,3 @@ class TestEngineDispatch:
         cpu = EpicProcessor(config, assemble("HALT", config), mem_words=64)
         with pytest.raises(SimulationError, match="unknown engine"):
             cpu.run(engine="warp")
-
-    def test_engine_and_legacy_fast_flag_conflict(self):
-        config = epic_config()
-        cpu = EpicProcessor(config, assemble("HALT", config), mem_words=64)
-        with pytest.raises(SimulationError, match="not both"):
-            cpu.run(engine="fast", fast=True)

@@ -138,7 +138,9 @@ class TestWarmgate:
                      j["attempts"]) for j in report["jobs"]]
 
         assert ledger(fresh) == ledger(warm)
-        assert "warm_pool" not in fresh or not fresh["warm_pool"]["warm"]
+        assert fresh["warm_pool"]["warm"] is False
+        assert fresh["warm_pool"]["reused_jobs"] == 0
+        assert fresh["warm_pool"]["spawns"] == len(fresh["jobs"])
         telemetry = json.loads(open(telemetry_path).read())
         assert telemetry["warm"] is True
         assert telemetry == warm["warm_pool"]

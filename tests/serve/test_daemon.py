@@ -308,7 +308,7 @@ class TestWarmPoolStatus:
     def test_status_reports_warm_pool_telemetry(self, tmp_path):
         from repro.serve import SupervisedPool
 
-        pool = SupervisedPool(jobs=1, warm=True, heartbeat=0.05,
+        pool = SupervisedPool(jobs=1, heartbeat=0.05,
                               watchdog=5.0)
         daemon = ServeDaemon(str(tmp_path / "spool"), executor=pool)
         daemon.start()

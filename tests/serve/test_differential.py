@@ -1,7 +1,8 @@
 """The serving contract, differentially enforced.
 
 For every workload the same evaluation runs three ways — in-process
-serial, through a two-worker :class:`PoolExecutor`, and replayed from a
+serial, through a two-worker :class:`SupervisedPool` that runs every
+job on a fresh process (``recycle_after=1``), and replayed from a
 warm :class:`ResultCache` — and the deterministic results must be
 byte-identical.  Scheduling, process boundaries and caching are never
 allowed to show through.
@@ -16,7 +17,7 @@ from repro.explore import sweep_configs
 from repro.explore.reliability import reliability_sweep
 from repro.harness.faultcampaign import campaign_payload, run_campaign
 from repro.perf.bench import deterministic_report, run_bench
-from repro.serve import PoolExecutor, ResultCache
+from repro.serve import ResultCache, SupervisedPool
 from repro.workloads import (
     aes_workload,
     dct_workload,
@@ -36,7 +37,7 @@ WORKLOAD_NAMES = sorted(TINY_WORKLOADS)
 
 
 def pool():
-    return PoolExecutor(jobs=2)
+    return SupervisedPool(jobs=2, recycle_after=1)
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

@@ -10,9 +10,9 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import (
     JobSpec,
-    PoolExecutor,
     ResultCache,
     SerialExecutor,
+    SupervisedPool,
     raise_for_failures,
     run_jobs,
 )
@@ -38,7 +38,7 @@ class TestSerialExecutor:
 
     def test_refuses_crash_and_hang_probes(self):
         for behavior in ("crash", "hang", "stubborn"):
-            with pytest.raises(ServeError, match="PoolExecutor"):
+            with pytest.raises(ServeError, match="SupervisedPool"):
                 SerialExecutor().run([probe(behavior)])
 
     def test_on_result_sees_every_job(self):
@@ -48,48 +48,57 @@ class TestSerialExecutor:
         assert seen == [0, 1, 2, 3]
 
 
-class TestPoolExecutor:
+def fresh_pool(**overrides):
+    """A pool that runs every job on a new worker process, with crash
+    quarantine out of the way so retry budgets decide outcomes."""
+    settings = dict(jobs=2, recycle_after=1, poison_after=99,
+                    backoff_base=0.01, backoff_cap=0.05)
+    settings.update(overrides)
+    return SupervisedPool(**settings)
+
+
+class TestFreshWorkerPool:
     def test_results_in_input_order_despite_scheduling(self):
         # Earlier jobs sleep longer, so completion order is reversed —
         # the returned list must not be.
         specs = [probe("sleep", seed=n, seconds=0.3 - 0.1 * n)
                  for n in range(3)]
-        outcomes = PoolExecutor(jobs=3).run(specs)
+        outcomes = fresh_pool(jobs=3).run(specs)
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert [o.payload["value"] for o in outcomes] == [0, 1, 2]
 
     def test_error_probe_reports_error(self):
-        outcomes = PoolExecutor(jobs=2).run([probe("fail"), probe()])
+        outcomes = fresh_pool().run([probe("fail"), probe()])
         assert [o.status for o in outcomes] == ["error", "ok"]
 
     def test_crash_retried_then_surfaced(self):
-        outcomes = PoolExecutor(jobs=2, retries=2).run([probe("crash")])
+        outcomes = fresh_pool(retries=2).run([probe("crash")])
         outcome = outcomes[0]
         assert outcome.status == "crashed"
         assert outcome.attempts == 3  # first try + 2 retries
         assert "exit code 13" in outcome.error
 
     def test_zero_retries_honoured(self):
-        outcome = PoolExecutor(jobs=1, retries=0).run([probe("crash")])[0]
+        outcome = fresh_pool(jobs=1, retries=0).run([probe("crash")])[0]
         assert outcome.status == "crashed"
         assert outcome.attempts == 1
 
     def test_crash_does_not_poison_neighbours(self):
         specs = [probe(seed=1), probe("crash"), probe(seed=2)]
-        outcomes = PoolExecutor(jobs=2, retries=0).run(specs)
+        outcomes = fresh_pool(retries=0).run(specs)
         assert [o.status for o in outcomes] == ["ok", "crashed", "ok"]
         assert outcomes[0].payload["value"] == 1
         assert outcomes[2].payload["value"] == 2
 
     def test_hang_reaped_by_timeout(self):
-        outcomes = PoolExecutor(jobs=2, timeout=0.5).run(
+        outcomes = fresh_pool(timeout=0.5).run(
             [probe("hang"), probe(seed=4)])
         assert outcomes[0].status == "timeout"
         assert "0.5s" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].payload["value"] == 4
 
     def test_hang_reap_names_the_ending_signal(self):
-        outcome = PoolExecutor(jobs=1, timeout=0.4).run(
+        outcome = fresh_pool(jobs=1, timeout=0.4).run(
             [probe("hang")])[0]
         assert outcome.status == "timeout"
         assert "worker ended by SIG" in outcome.error
@@ -97,20 +106,20 @@ class TestPoolExecutor:
     def test_sigterm_ignoring_child_escalated_to_sigkill(self):
         # A "stubborn" probe masks SIGTERM and spins; the reap ladder
         # must escalate to SIGKILL instead of blocking in join().
-        outcome = PoolExecutor(jobs=1, timeout=0.4,
-                               term_grace=0.3).run([probe("stubborn")])[0]
+        outcome = fresh_pool(jobs=1, timeout=0.4,
+                             term_grace=0.3).run([probe("stubborn")])[0]
         assert outcome.status == "timeout"
         assert "SIGKILL" in outcome.error
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ServeError):
-            PoolExecutor(jobs=0)
+            fresh_pool(jobs=0)
         with pytest.raises(ServeError):
-            PoolExecutor(timeout=-1.0)
+            fresh_pool(timeout=-1.0)
         with pytest.raises(ServeError):
-            PoolExecutor(retries=-1)
+            fresh_pool(retries=-1)
         with pytest.raises(ServeError):
-            PoolExecutor(term_grace=0.0)
+            fresh_pool(term_grace=0.0)
 
 
 class TestRunJobs:

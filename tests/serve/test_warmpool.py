@@ -34,7 +34,7 @@ def probe(behavior="ok", seed=0, seconds=0.0):
 
 def warm_pool(**overrides):
     settings = dict(jobs=2, heartbeat=0.05, watchdog=0.5,
-                    backoff_base=0.01, backoff_cap=0.05, warm=True)
+                    backoff_base=0.01, backoff_cap=0.05)
     settings.update(overrides)
     return SupervisedPool(**settings)
 
@@ -59,8 +59,8 @@ class TestWarmDifferential:
     def test_all_four_kinds_byte_identical_and_reused(self):
         specs = all_kind_specs()
         serial = SerialExecutor().run(specs)
-        fresh = SupervisedPool(jobs=2, heartbeat=0.05,
-                               watchdog=5.0).run(specs)
+        with warm_pool(watchdog=5.0, recycle_after=1) as pool:
+            fresh = pool.run(specs)
         with warm_pool(watchdog=5.0) as pool:
             warm_once = pool.run(specs)
             warm_again = pool.run(specs)
@@ -135,9 +135,10 @@ class TestWarmLifecycle:
         from repro.errors import ServeError
 
         with pytest.raises(ServeError):
-            SupervisedPool(warm=True, recycle_after=0)
+            SupervisedPool(recycle_after=0)
         with pytest.raises(ServeError):
-            SupervisedPool(warm=True, max_worker_rss_mb=0)
+            SupervisedPool(max_worker_rss_mb=0)
+        SupervisedPool(warm=True).close()  # the default, spelled out
 
 
 class TestWarmSupervision:
@@ -233,6 +234,22 @@ class TestTelemetryShape:
         assert worker["rss_kb"] > 0
         assert set(worker["checker_memo"]) == {
             "hits", "misses", "evictions", "size", "limit"}
+
+    def test_fresh_pool_telemetry_counts_every_job(self):
+        # recycle_after=1 forks one incarnation per job: all of them
+        # must show up as spawned, dispatched and never reused.
+        specs = [probe(seed=n) for n in range(4)]
+        pool = warm_pool(recycle_after=1)
+        outcomes = pool.run(specs)
+        telemetry = pool.telemetry()
+        assert [o.payload["value"] for o in outcomes] == list(range(4))
+        assert telemetry["warm"] is False
+        assert telemetry["spawns"] == telemetry["dispatched"] == 4
+        assert telemetry["reused_jobs"] == 0
+        assert telemetry["recycles_jobs"] == 4
+        assert all(o.meta["worker"]["jobs_on_worker"] == 1
+                   for o in outcomes)
+        assert telemetry["live_workers"] == 0
 
     def test_affinity_key_shapes(self):
         assert probe().affinity_key() == "probe"
