@@ -8,13 +8,14 @@ checker pays one full simulator run per fault; this engine walks the
 golden trajectory **once** and carries N injected machines along as
 *lanes* of lane-major 2-D state:
 
-* the data-memory plane is a ``(lanes, mem_words)`` matrix — a NumPy
-  ``int64`` array when NumPy is importable, a list of row lists
-  otherwise — so lane activation (row copy), convergence compares
-  (row equality) and final output diffs vectorise;
-* register/predicate/BTR planes are rows of Python lists (row 0 is the
-  golden machine, one row per lane), because per-operation scalar
-  access dominates there and the rows are tiny.
+* the data-memory plane is one NumPy ``int64`` array of shape
+  ``(lanes + 1, mem_words)`` (row 0 is the golden machine), so lane
+  activation (row copy), golden stores (column write), golden-address
+  loads (column compare), convergence compares (row diff) and final
+  output diffs vectorise;
+* register/predicate/BTR state is the golden row (Python lists) plus
+  a sparse per-lane overlay dict, because per-operation scalar access
+  dominates there and the rows are tiny.
 
 Exactness contract
 ==================
@@ -84,6 +85,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core import decode as dec
 from repro.errors import (
     TRAP_OOB_LOAD,
@@ -91,14 +94,8 @@ from repro.errors import (
     SimulationError,
     TrapError,
 )
-from repro.isa import semantics as sem
 from repro.isa.semantics import to_signed
 from repro.mdes import Mdes
-
-try:  # NumPy is optional; the pure-Python plane is exact, just slower.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
 
 #: Fault target spaces / models, mirrored locally (``repro.reliability``
 #: imports the core, not the other way around).
@@ -136,80 +133,6 @@ _P_BTR = 2
 #: a ``vec[row]`` of ``_KEEP`` means the lane's machine never issued
 #: the write, so the drain must leave the lane's current value alone.
 _KEEP = object()
-
-#: Minimum *divergent* rows before the NumPy column path beats per-lane
-#: Python calls.  The sparse overlay walk already skips non-divergent
-#: lanes and short-circuits golden operands, so the column's
-#: gather/scatter overhead only pays off once the divergent population
-#: is fairly large (measured crossover on the quick campaigns: ~16).
-_COLUMN_MIN_LANES = 16
-
-
-def _column_tables():
-    """Build int64 column twins of the scalar ALU/CMP semantics.
-
-    Keyed by the *callable* stored in ``PreOp.fn`` so dispatch is one
-    dict probe.  Each twin is exact over NumPy int64 for datapath
-    widths up to 32 bits: operands are masked machine words (below
-    ``2**32``), so sums, shifted values and two's-complement
-    conversions all stay inside int64.  MUL (the full product can need
-    64 bits) and DIV/REM (zero divisors raise) keep the per-lane
-    scalar path.
-    """
-
-    def unsigned(a, width):
-        return a & ((1 << width) - 1)
-
-    def signed(a, width):
-        u = a & ((1 << width) - 1)
-        return u - ((u >> (width - 1)) << width)
-
-    def shift(b, width):
-        return b & (width - 1)
-
-    def col_shra(a, b, width):
-        return unsigned(signed(a, width) >> shift(b, width), width)
-
-    def col_min(a, b, width):
-        return _np.where(signed(a, width) <= signed(b, width), a, b)
-
-    def col_max(a, b, width):
-        return _np.where(signed(a, width) >= signed(b, width), a, b)
-
-    def flag(condition):
-        return condition.astype(_np.int64)
-
-    alu = {
-        sem.add: lambda a, b, w: unsigned(a + b, w),
-        sem.sub: lambda a, b, w: unsigned(a - b, w),
-        sem.and_: lambda a, b, w: unsigned(a & b, w),
-        sem.or_: lambda a, b, w: unsigned(a | b, w),
-        sem.xor: lambda a, b, w: unsigned(a ^ b, w),
-        sem.andcm: lambda a, b, w: unsigned(a & ~b, w),
-        sem.shl: lambda a, b, w: unsigned(a << shift(b, w), w),
-        sem.shr: lambda a, b, w: unsigned(a, w) >> shift(b, w),
-        sem.shra: col_shra,
-        sem.min_: col_min,
-        sem.max_: col_max,
-    }
-    cmp = {
-        sem.cmp_eq: lambda a, b, w: flag(unsigned(a, w) == unsigned(b, w)),
-        sem.cmp_ne: lambda a, b, w: flag(unsigned(a, w) != unsigned(b, w)),
-        sem.cmp_lt: lambda a, b, w: flag(signed(a, w) < signed(b, w)),
-        sem.cmp_le: lambda a, b, w: flag(signed(a, w) <= signed(b, w)),
-        sem.cmp_gt: lambda a, b, w: flag(signed(a, w) > signed(b, w)),
-        sem.cmp_ge: lambda a, b, w: flag(signed(a, w) >= signed(b, w)),
-        sem.cmp_ult: lambda a, b, w: flag(unsigned(a, w) < unsigned(b, w)),
-        sem.cmp_uge: lambda a, b, w: flag(unsigned(a, w) >= unsigned(b, w)),
-    }
-    return alu, cmp
-
-
-if _np is not None:
-    _COLUMN_ALU, _COLUMN_CMP = _column_tables()
-else:  # pragma: no cover - exercised via the no-NumPy CI job
-    _COLUMN_ALU, _COLUMN_CMP = {}, {}
-
 
 @dataclass
 class LaneOutcome:
@@ -405,7 +328,6 @@ class VectorEngine:
         outcomes: List[Optional[object]] = [None] * len(faults)
         reasons: Dict[int, str] = {}
         stats = {
-            "numpy": _np is not None,
             "faults": len(faults),
             "classified": 0,
             "activated": 0,
@@ -418,7 +340,6 @@ class VectorEngine:
             "rewalk": 0,
             "absorbed": 0,
             "capacity": 0,
-            "column_ops": 0,
             "retired": {},
         }
 
@@ -543,21 +464,14 @@ class VectorEngine:
         # whole frozen population every memory op.
         frozen_index: Dict[int, List[_Lane]] = {}
 
-        if _np is not None:
-            mem_plane = _np.empty((n_rows, self.mem_words), dtype=_np.int64)
-            # Every row starts at base memory (not zeros): golden column
-            # stores keep unactivated rows in sync, so the K_LOAD column
-            # compare does not chase phantom divergence through them.
-            mem_plane[:] = self._base_mem
-            g_mem = mem_plane[0]
-            for lane in lanes:
-                lane.mem = mem_plane[lane.row]
-            for lane in fetch_lanes:
-                lane.mem = mem_plane[lane.row]
-        else:
-            g_mem = list(self._base_mem)
-            for lane in lanes:
-                lane.mem = None  # allocated (copied) at activation
+        mem_plane = np.empty((n_rows, self.mem_words), dtype=np.int64)
+        # Every row starts at base memory (not zeros): golden column
+        # stores keep unactivated rows in sync, so the K_LOAD column
+        # compare does not chase phantom divergence through them.
+        mem_plane[:] = self._base_mem
+        g_mem = mem_plane[0]
+        for lane in lanes + fetch_lanes:
+            lane.mem = mem_plane[lane.row]
 
         # Activation queues, ascending by fault cycle (stable).
         activations = sorted(lanes, key=lambda lane: lane.fault.cycle)
@@ -880,8 +794,7 @@ class VectorEngine:
                                 return False  # would trap
                             payload = 0  # dismissible
                         else:
-                            payload = int(g_mem[laddr]) \
-                                if _np is not None else g_mem[laddr]
+                            payload = int(g_mem[laddr])
                     elif lkind == dec.K_PBR:
                         payload = lop.s1
                     elif lkind == dec.K_MOVGBP:
@@ -909,10 +822,7 @@ class VectorEngine:
             # the pending-queue guard keeps convergence cuts honest
             # until it lands and registers in the divergence sets.
             lane.born = stats["iterations"]
-            if _np is not None:
-                lane.mem[:] = g_mem
-            else:
-                lane.mem = list(g_mem)
+            lane.mem[:] = g_mem
             lane.running = True
             active.append(lane)
             stats["activated"] += 1
@@ -955,14 +865,8 @@ class VectorEngine:
                                        for r, v in lane.btr.items()):
                             continue
                         # Registers reconverged; diff the memory row.
-                        if _np is not None:
-                            diff = (lane.mem != g_mem).nonzero()[0]
-                            dirty = set(int(a) for a in diff)
-                        else:
-                            dirty = set(
-                                a for a, (mine, gold)
-                                in enumerate(zip(lane.mem, g_mem))
-                                if mine != gold)
+                        dirty = set((lane.mem != g_mem).nonzero()[0]
+                                    .tolist())
                         if not dirty:
                             drop(lane)
                             outcomes[lane.index] = \
@@ -989,14 +893,11 @@ class VectorEngine:
                         g_gpr[:] = snap.gpr
                         g_pred[:] = snap.pred
                         g_btr[:] = snap.btr
-                        if _np is not None:
-                            # No lane is live here (jump precondition),
-                            # so a whole-plane refresh keeps parked
-                            # fetch rows in sync with the golden row;
-                            # dead rows are harmlessly overwritten.
-                            mem_plane[:] = snap.mem
-                        else:
-                            g_mem[:] = snap.mem
+                        # No lane is live here (jump precondition), so
+                        # a whole-plane refresh keeps parked fetch rows
+                        # in sync with the golden row; dead rows are
+                        # harmlessly overwritten.
+                        mem_plane[:] = snap.mem
                         cycle = snap.cycle
                         pc = snap.pc
                         stats["jumps"] += 1
@@ -1110,10 +1011,7 @@ class VectorEngine:
                 lane = activations[act_at]
                 act_at += 1
                 lane.born = stats["iterations"]
-                if _np is not None:
-                    lane.mem[:] = g_mem
-                else:
-                    lane.mem = list(g_mem)
+                lane.mem[:] = g_mem
                 if lane.fault.space == _SPACE_MEM and not lane.stuck:
                     # A transient memory flip leaves the registers
                     # golden and dirties exactly one word: the lane is
@@ -1231,61 +1129,33 @@ class VectorEngine:
                             drows = list(d2)
                         else:
                             drows = list(d1 | d2)
-                        column = _COLUMN_ALU.get(fn) \
-                            if _np is not None and not have_squash \
-                            and len(drows) >= _COLUMN_MIN_LANES else None
-                        if column is not None:
-                            # Whole-column int64 arithmetic over the
-                            # divergent rows.  Only rows whose RESULT
-                            # diverges enter the dict; the drain cannot
-                            # tell that apart from the per-lane operand
-                            # short-circuit (absent rows default to the
-                            # golden value either way), so both paths
-                            # are byte-identical.
-                            cols = [row_lane[row] for row in drows]
-                            cols = [l for l in cols if l.running]
-                            n_cols = len(cols)
-                            av = a if op.s1_lit else _np.fromiter(
-                                (l.gpr.get(op.s1, a) for l in cols),
-                                _np.int64, n_cols)
-                            bv = b if op.s2_lit else _np.fromiter(
-                                (l.gpr.get(op.s2, b) for l in cols),
-                                _np.int64, n_cols)
-                            res = column(av, bv, width)
-                            stats["column_ops"] += 1
-                            hits = (res != golden).nonzero()[0]
-                            if hits.size:
-                                values = res.tolist()
-                                vec = {cols[i].row: values[i]
-                                       for i in hits.tolist()}
-                        else:
-                            # Lanes whose operands match the golden
-                            # machine's compute the golden result: leave
-                            # them out of the column (the drain's .get()
-                            # default fills it in) and skip the fn call.
-                            vec = {}
-                            for row in drows:
-                                lane = row_lane[row]
-                                if not lane.running:
-                                    continue
-                                if have_squash and row in squashed_rows:
-                                    continue
-                                la = a if op.s1_lit \
-                                    else lane.gpr.get(op.s1, a)
-                                if fn is None:
-                                    if la != a:
-                                        vec[row] = la
-                                    continue
-                                lb = b if op.s2_lit \
-                                    else lane.gpr.get(op.s2, b)
-                                if la == a and lb == b:
-                                    continue
-                                try:
-                                    vec[row] = fn(la, lb, width)
-                                except SimulationError:
-                                    # Division by zero in this lane only
-                                    # (raised past every trap policy).
-                                    retire_lane(lane, RETIRE_TRAP)
+                        # Lanes whose operands match the golden machine's
+                        # compute the golden result: leave them out of
+                        # the column (the drain's .get() default fills
+                        # it in) and skip the fn call.
+                        vec = {}
+                        for row in drows:
+                            lane = row_lane[row]
+                            if not lane.running:
+                                continue
+                            if have_squash and row in squashed_rows:
+                                continue
+                            la = a if op.s1_lit \
+                                else lane.gpr.get(op.s1, a)
+                            if fn is None:
+                                if la != a:
+                                    vec[row] = la
+                                continue
+                            lb = b if op.s2_lit \
+                                else lane.gpr.get(op.s2, b)
+                            if la == a and lb == b:
+                                continue
+                            try:
+                                vec[row] = fn(la, lb, width)
+                            except SimulationError:
+                                # Division by zero in this lane only
+                                # (raised past every trap policy).
+                                retire_lane(lane, RETIRE_TRAP)
                     if absorb_map and op_slot in absorb_map:
                         for arow, aval in absorb_map[op_slot]:
                             if aval != golden:
@@ -1366,49 +1236,23 @@ class VectorEngine:
                             drows = list(d2)
                         else:
                             drows = list(d1 | d2)
-                        column = _COLUMN_CMP.get(fn) \
-                            if _np is not None and not have_squash \
-                            and len(drows) >= _COLUMN_MIN_LANES else None
-                        if column is not None:
-                            cols = [row_lane[row] for row in drows]
-                            cols = [l for l in cols if l.running]
-                            n_cols = len(cols)
-                            av = a if op.s1_lit else _np.fromiter(
-                                (l.gpr.get(op.s1, a) for l in cols),
-                                _np.int64, n_cols)
-                            bv = b if op.s2_lit else _np.fromiter(
-                                (l.gpr.get(op.s2, b) for l in cols),
-                                _np.int64, n_cols)
-                            res = column(av, bv, width)
-                            stats["column_ops"] += 1
-                            hits = (res != condition).nonzero()[0]
-                            if hits.size:
-                                values = res.tolist()
-                                vec1 = {}
-                                vec2 = {}
-                                for i in hits.tolist():
-                                    row = cols[i].row
-                                    flag = values[i]
-                                    vec1[row] = flag
-                                    vec2[row] = 1 - flag
-                        else:
-                            vec1 = {}
-                            vec2 = {}
-                            for row in drows:
-                                lane = row_lane[row]
-                                if not lane.running:
-                                    continue
-                                if have_squash and row in squashed_rows:
-                                    continue
-                                la = a if op.s1_lit \
-                                    else lane.gpr.get(op.s1, a)
-                                lb = b if op.s2_lit \
-                                    else lane.gpr.get(op.s2, b)
-                                if la == a and lb == b:
-                                    continue
-                                lc = fn(la, lb, width)
-                                vec1[row] = lc
-                                vec2[row] = 1 - lc
+                        vec1 = {}
+                        vec2 = {}
+                        for row in drows:
+                            lane = row_lane[row]
+                            if not lane.running:
+                                continue
+                            if have_squash and row in squashed_rows:
+                                continue
+                            la = a if op.s1_lit \
+                                else lane.gpr.get(op.s1, a)
+                            lb = b if op.s2_lit \
+                                else lane.gpr.get(op.s2, b)
+                            if la == a and lb == b:
+                                continue
+                            lc = fn(la, lb, width)
+                            vec1[row] = lc
+                            vec2[row] = 1 - lc
                     if absorb_map and op_slot in absorb_map:
                         for arow, aflag in absorb_map[op_slot]:
                             if aflag != condition:
@@ -1435,8 +1279,7 @@ class VectorEngine:
                                 f"golden load from {address}")
                         golden = 0
                     else:
-                        golden = int(g_mem[address]) if _np is not None \
-                            else g_mem[address]
+                        golden = int(g_mem[address])
                     vec = None
                     if active or frozen:
                         vec = {}
@@ -1482,35 +1325,21 @@ class VectorEngine:
                                     continue
                                 value = lane.mem[laddr]
                                 if value != golden:
-                                    vec[row] = int(value) \
-                                        if _np is not None else value
+                                    vec[row] = int(value)
                         if 0 <= address < self.mem_words:
                             # Golden-address rows: divergent only where
                             # the memory plane's column differs.
-                            if _np is not None:
-                                col_hits = (mem_plane[:, address]
-                                            != golden).nonzero()[0]
-                                for r in col_hits.tolist():
-                                    if r in du:
-                                        continue
-                                    lane = row_lane.get(r)
-                                    if lane is None or not lane.running:
-                                        continue
-                                    if have_squash \
-                                            and r in squashed_rows:
-                                        continue
-                                    vec[r] = int(mem_plane[r, address])
-                            else:
-                                for lane in active:
-                                    row = lane.row
-                                    if row in du:
-                                        continue
-                                    if have_squash \
-                                            and row in squashed_rows:
-                                        continue
-                                    value = lane.mem[address]
-                                    if value != golden:
-                                        vec[row] = value
+                            col_hits = (mem_plane[:, address]
+                                        != golden).nonzero()[0]
+                            for r in col_hits.tolist():
+                                if r in du:
+                                    continue
+                                lane = row_lane.get(r)
+                                if lane is None or not lane.running:
+                                    continue
+                                if have_squash and r in squashed_rows:
+                                    continue
+                                vec[r] = int(mem_plane[r, address])
                             if frozen:
                                 # Frozen lanes load from the golden
                                 # address; a hit on a dirty word
@@ -1520,9 +1349,7 @@ class VectorEngine:
                                     for lane in list(hit_f):
                                         unfreeze(lane)
                                         value = lane.mem[address]
-                                        vec[lane.row] = int(value) \
-                                            if _np is not None \
-                                            else value
+                                        vec[lane.row] = int(value)
                     if absorb_map and op_slot in absorb_map:
                         for arow, aval in absorb_map[op_slot]:
                             if aval != golden:
@@ -1730,54 +1557,31 @@ class VectorEngine:
             # ---- buffered stores land (validated at issue) -----------
             if store_buffer:
                 for address, golden, vec in store_buffer:
-                    if _np is not None:
-                        # Column write: every row (golden, active,
-                        # frozen, even dead — harmless) takes the
-                        # golden store; divergent entries then restore
-                        # or redirect their own rows.  A _KEEP row and
-                        # a row storing elsewhere both need the word's
-                        # PRE-store value back, so capture it first.
-                        prior = None
-                        if vec:
-                            prior = {}
-                            for row, entry in vec.items():
-                                if entry is _KEEP \
-                                        or entry[0] != address:
-                                    prior[row] = \
-                                        int(mem_plane[row, address])
-                        mem_plane[:, address] = golden
-                        if vec:
-                            for row, entry in vec.items():
-                                lane = row_lane[row]
-                                if not lane.running:
-                                    continue
-                                if entry is _KEEP:
+                    # Column write: every row (golden, active, frozen,
+                    # even dead — harmless) takes the golden store;
+                    # divergent entries then restore or redirect their
+                    # own rows.  A _KEEP row and a row storing elsewhere
+                    # both need the word's PRE-store value back, so
+                    # capture it first.
+                    prior = None
+                    if vec:
+                        prior = {}
+                        for row, entry in vec.items():
+                            if entry is _KEEP or entry[0] != address:
+                                prior[row] = int(mem_plane[row, address])
+                    mem_plane[:, address] = golden
+                    if vec:
+                        for row, entry in vec.items():
+                            lane = row_lane[row]
+                            if not lane.running:
+                                continue
+                            if entry is _KEEP:
+                                lane.mem[address] = prior[row]
+                            else:
+                                laddr, lvalue = entry
+                                if laddr != address:
                                     lane.mem[address] = prior[row]
-                                else:
-                                    laddr, lvalue = entry
-                                    if laddr != address:
-                                        lane.mem[address] = prior[row]
-                                    lane.mem[laddr] = lvalue
-                    else:
-                        g_mem[address] = golden
-                        if vec is None:
-                            for lane in active:
-                                lane.mem[address] = golden
-                        elif not keep_watch:
-                            for lane in active:
-                                laddr, lvalue = vec.get(
-                                    lane.row, (address, golden))
                                 lane.mem[laddr] = lvalue
-                        else:
-                            for lane in active:
-                                entry = vec.get(lane.row)
-                                if entry is None:
-                                    lane.mem[address] = golden
-                                elif entry is not _KEEP:
-                                    laddr, lvalue = entry
-                                    lane.mem[laddr] = lvalue
-                        for lane in frozen:
-                            lane.mem[address] = golden
                     for s in stuck_mem:
                         # Each lane stored to its own address; if that
                         # hit the lane's stuck word, force the bit back.
@@ -2026,8 +1830,7 @@ class VectorEngine:
         for name, base, expected_values in self.outputs:
             row = lane.mem
             for offset, expected in enumerate(expected_values):
-                got = int(row[base + offset]) if _np is not None \
-                    else row[base + offset]
+                got = int(row[base + offset])
                 if got != expected:
                     return LaneOutcome(
                         "sdc",

@@ -311,8 +311,7 @@ def main(argv=None) -> int:
                                   f"scalar, occupancy "
                                   f"{timing['vector_occupancy']:.2f} "
                                   f"(+{timing['wasted_retired_cycles']:.2f} "
-                                  f"wasted), "
-                                  f"numpy={timing['vector_numpy']}",
+                                  f"wasted)",
                                   file=sys.stderr)
                         if arguments.verbose and timing.get(
                                 "engine_downgrade_reason"):

@@ -363,8 +363,6 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
                 "rewalk_lane_cycles": sum(meta.get("rewalk_lane_cycles", 0)
                                           for meta in shard_metas),
                 "engine_downgrade_reason": downgrade,
-                "vector_numpy": any(meta.get("vector_numpy")
-                                    for meta in shard_metas),
             })
         return report
 
@@ -435,7 +433,6 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
             "rewalk_groups": vstats["rewalk_groups"],
             "rewalk_lane_cycles": vstats["rewalk_lane_cycles"],
             "engine_downgrade_reason": vstats["engine_downgrade_reason"],
-            "vector_numpy": vstats["numpy"],
         })
     return report
 

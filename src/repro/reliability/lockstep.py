@@ -337,8 +337,7 @@ class LockstepChecker:
             "wasted_lane_cycles": 0, "lane_capacity": 0,
             "rewalk_lanes": 0, "rewalk_groups": 0,
             "rewalk_lane_cycles": 0, "absorbed_lanes": 0,
-            "column_ops": 0,
-            "retired": {}, "numpy": False, "passes": 0,
+            "retired": {}, "passes": 0,
             "engine_downgrade_reason": None,
         }
         if lane_cap <= 0:
@@ -357,7 +356,6 @@ class LockstepChecker:
                 chunk = faults[start:start + lane_cap]
                 outcomes, pass_stats = engine.run_pass(
                     chunk, stream=stream, ifetch=self._ifetch_outcome)
-                stats["numpy"] = pass_stats["numpy"]
                 stats["passes"] += 1
                 stats["vector_faults"] += len(chunk)
                 stats["classified"] += pass_stats["classified"]
@@ -369,7 +367,6 @@ class LockstepChecker:
                 stats["frozen_cycles"] += pass_stats["frozen_cycles"]
                 stats["wasted_lane_cycles"] += \
                     pass_stats["wasted_lane_cycles"]
-                stats["column_ops"] += pass_stats["column_ops"]
                 stats["absorbed_lanes"] += pass_stats["absorbed"]
                 stats["lane_capacity"] += (pass_stats["iterations"]
                                            * pass_stats["capacity"])

@@ -62,8 +62,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -105,6 +107,14 @@ _METHODS = multiprocessing.get_all_start_methods()
 _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in _METHODS else _METHODS[0])
 
+#: Parent ends of every live worker pipe in this process, across pools
+#: (weak, so a pool dropped without ``close()`` still ends its workers
+#: by garbage-collecting the ends).  A forked worker inherits them all
+#: and must close them, or its own ``recv()`` never sees EOF once the
+#: pool's process dies: its pipe's parent end would stay open in the
+#: worker itself and in every younger sibling.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
 
 def _warm_child_entry(conn, heartbeat: float) -> None:
     """Worker body: run pipe-fed jobs until told to stop, heartbeating
@@ -121,6 +131,13 @@ def _warm_child_entry(conn, heartbeat: float) -> None:
     worker_stats` (peak RSS + checker-memo counters), which the parent
     uses for recycle decisions and telemetry.
     """
+    for inherited in list(_PARENT_ENDS):
+        inherited.close()
+    _PARENT_ENDS.clear()
+    # The pool's process may install handlers (the daemon drains on
+    # SIGTERM/SIGINT); a worker must just die on them.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     send_lock = threading.Lock()
     stop = threading.Event()
     if heartbeat > 0:
@@ -378,9 +395,11 @@ class SupervisedPool:
             args=(child_conn, self.heartbeat),
             daemon=True,
         )
+        _PARENT_ENDS.add(parent_conn)
         try:
             process.start()
         except OSError:
+            _PARENT_ENDS.discard(parent_conn)
             parent_conn.close()
             child_conn.close()
             raise
@@ -396,6 +415,7 @@ class SupervisedPool:
         """Remove one incarnation: politely (``stop``) or by reaping.
         Returns what ended the process (see :func:`reap_process`)."""
         self._warm_workers.pop(worker.conn, None)
+        _PARENT_ENDS.discard(worker.conn)
         if stop:
             try:
                 worker.conn.send(("stop",))

@@ -266,7 +266,6 @@ def _execute_campaign(spec: JobSpec) -> Tuple[Payload, Payload]:
             "rewalk_groups": vstats["rewalk_groups"],
             "rewalk_lane_cycles": vstats["rewalk_lane_cycles"],
             "engine_downgrade_reason": vstats["engine_downgrade_reason"],
-            "vector_numpy": vstats["numpy"],
         })
     return payload, meta
 

@@ -4,10 +4,9 @@ The acceptance property of ``LockstepChecker.run_batch``: for every
 workload, machine width and fault space, the outcome table produced by
 the lane-major vector walk — with convergence cuts, frozen lanes and
 scalar retirement — is byte-identical to a pure-scalar campaign: same
-outcome, same detail string, same cycle count, same trap cause.  The
-property must hold with and without NumPy (the memory plane degrades
-to per-lane lists), and every lane the engine refuses to classify must
-retire to ``run_one`` with a recorded reason.
+outcome, same detail string, same cycle count, same trap cause.  Every
+lane the engine refuses to classify must retire to ``run_one`` with a
+recorded reason.
 """
 
 import json
@@ -121,60 +120,24 @@ class TestPerSpaceDifferential:
         assert all(result is not None for result in results)
 
 
-class TestPurePythonFallback:
-    """NumPy is an accelerator, not a dependency."""
+class TestDivergentLanes:
+    """Inputs that stress the memory plane and the per-lane op path."""
 
-    def test_no_numpy_differential(self, monkeypatch):
-        monkeypatch.setattr(vector, "_np", None)
-        checker = LockstepChecker(tiny_spec(), epic_with_alus(2))
-        checker.prepare_checkpoints()
-        faults = generate_faults(checker, 32, 7)
-        scalar = [checker.run_one(fault) for fault in faults]
-        results, stats = checker.run_batch(faults)
-        assert stats["numpy"] is False
-        assert _payloads(results) == _payloads(scalar)
+    HOT_REGISTER_FAULTS = [FaultSpec(SPACE_GPR, 14, 8 + bit, 0,
+                                     model=MODEL_STUCK1)
+                           for bit in range(20)]
 
-    COLUMN_FAULTS = [FaultSpec(SPACE_GPR, 14, 8 + bit, 0,
-                               model=MODEL_STUCK1) for bit in range(20)]
-
-    def test_column_alu_matches_pure_python(self, monkeypatch):
+    def test_hot_register_stuck_at_vs_scalar(self, checker):
         # Stuck-at faults on one hot data register keep every lane
-        # divergent there, so the divergent-row union crosses the
-        # column gather threshold.  Same fault list through the NumPy
-        # column ALU and the per-lane fallback: byte-identical tables,
-        # and the column path really ran (the counter would be 0 if
-        # the gather threshold or the kind filter silently
-        # disqualified every op).
-        if vector._np is None:
-            pytest.skip("numpy not installed")
-        checker = LockstepChecker(tiny_spec(), epic_with_alus(2))
-        checker.prepare_checkpoints()
-        results, stats = checker.run_batch(self.COLUMN_FAULTS)
-        assert stats["numpy"] is True
-        assert stats["column_ops"] > 0
-        monkeypatch.setattr(vector, "_np", None)
-        pure = LockstepChecker(tiny_spec(), epic_with_alus(2))
-        pure.prepare_checkpoints()
-        pure_results, pure_stats = pure.run_batch(self.COLUMN_FAULTS)
-        assert pure_stats["column_ops"] == 0
-        assert _payloads(results) == _payloads(pure_results)
-
-    def test_column_alu_matches_scalar(self):
-        # The column path against the scalar checker itself.
-        if vector._np is None:
-            pytest.skip("numpy not installed")
-        checker = LockstepChecker(tiny_spec(), epic_with_alus(2))
-        checker.prepare_checkpoints()
-        scalar = [checker.run_one(fault) for fault in self.COLUMN_FAULTS]
-        results, stats = checker.run_batch(self.COLUMN_FAULTS)
-        assert stats["column_ops"] > 0
+        # divergent there, so each ALU/CMP op walks many divergent rows.
+        scalar = [checker.run_one(fault)
+                  for fault in self.HOT_REGISTER_FAULTS]
+        results, stats = checker.run_batch(self.HOT_REGISTER_FAULTS)
         assert _payloads(results) == _payloads(scalar)
+        assert stats["vector_faults"] == len(self.HOT_REGISTER_FAULTS)
 
-    def test_no_numpy_mem_space_freezes_list_rows(self, monkeypatch):
-        # Frozen lanes track golden stores through plain list rows.
-        monkeypatch.setattr(vector, "_np", None)
-        checker = LockstepChecker(tiny_spec(), epic_with_alus(2))
-        checker.prepare_checkpoints()
+    def test_mem_frozen_lanes_vs_scalar(self, checker):
+        # Frozen lanes track golden stores through their plane rows.
         faults = generate_faults(checker, 16, 9, spaces=(SPACE_MEM,))
         scalar = [checker.run_one(fault) for fault in faults]
         results, stats = checker.run_batch(faults)

@@ -302,6 +302,70 @@ class TestKillRestartLifecycle:
                 process.wait(timeout=10)
 
 
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` of ``pid`` from /proc, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1]), fields[19]
+
+
+def _children(pid):
+    """``{child pid: starttime}`` of every live child of ``pid``."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid and stat[0] != "Z":
+                children[int(entry)] = stat[2]
+    return children
+
+
+def _still_running(pid, starttime):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[2] == starttime and stat[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    """A SIGKILLed daemon must not leave its worker incarnations behind."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_after_daemon_sigkill(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        ready = str(tmp_path / "ready.json")
+        process = TestKillRestartLifecycle.start_daemon(spool, ready)
+        workers = {}
+        try:
+            port = TestKillRestartLifecycle.wait_ready(ready)
+            client = DaemonClient("127.0.0.1", port)
+            accepted = client.submit(
+                [probe(seed=n, seconds=0.2) for n in range(4)])
+            client.wait(accepted["batch"], timeout=60)
+            # The incarnations stay warm (idle) after the batch.
+            workers = _children(process.pid)
+            assert workers, "the daemon spawned no worker incarnation"
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=10)
+
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                alive = [pid for pid, start in workers.items()
+                         if _still_running(pid, start)]
+                if not alive:
+                    break
+                time.sleep(0.1)
+            assert not alive, f"workers outlived the daemon: {alive}"
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            for pid, start in workers.items():
+                if _still_running(pid, start):
+                    os.kill(pid, signal.SIGKILL)
+
+
 class TestWarmPoolStatus:
     """/v1/status telemetry and the per-kind Retry-After estimate."""
 
