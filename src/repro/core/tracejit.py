@@ -11,10 +11,22 @@ entries at taken-branch targets, and once a target crosses a hotness
 threshold the trace builder walks the statically-known fall-through
 chain from it — ending at an unconditional control transfer, a
 loop-back, the end of the program or a length cap — and emits ONE
-generated Python function for the whole chain, with
+generated Python function for the whole chain.
+
+Leaf calls are inlined into the chain.  Like the paper's EPIC, the
+compiled code prepares branch targets ahead of the branch (``PBR`` into
+a branch-target register, ``MOVGBP`` of the link for a return), so the
+chain walk tracks which registers hold constants written inside the
+chain and when they land.  An unguarded ``BRL`` whose target is such a
+constant is followed into the callee, and the ``BR`` whose constant
+target is that call's link is followed back out; plain jumps and loop
+back-edges are never followed.  A chain that would end inside a callee
+is cut back to its outermost open call instead.  Each followed branch
+costs its taken-branch bubble inside the static schedule and no exit.
+The generated function has
 
 * the per-bundle issue schedule folded to constant cycle offsets
-  (static fetch stalls included),
+  (static fetch stalls and followed-branch bubbles included),
 * write-backs that are produced *and* land inside the trace promoted
   to Python locals (the register-file lists are not touched until a
   trace exit materialises them),
@@ -133,6 +145,34 @@ def _current_salt() -> Optional[str]:
         else:
             _salt_cache.append(code_salt())
     return _salt_cache[0]
+
+
+def _issue_offsets(machine, pcs: List[int], follow,
+                   offsets: Optional[List[int]] = None) -> List[int]:
+    """Issue-cycle offset of each chain position (entry = 0), plus one
+    trailing entry for the cycle after the last bundle.
+
+    A bundle takes one cycle plus its static fetch stall (an LSU that
+    shares fetch bandwidth), and a followed branch at position ``k``
+    (``k in follow``) adds the taken-branch penalty before ``k + 1``.
+    Passing an already-computed prefix as ``offsets`` extends it in
+    place, so a chain walk can grow it one bundle at a time.
+    """
+    config = machine.config
+    share = config.lsu_shares_fetch_bandwidth
+    fetch_bits = config.issue_width * 64
+    bank_bits = config.n_mem_banks * 32 * 2
+    if offsets is None:
+        offsets = [0]
+    for k in range(len(offsets) - 1, len(pcs)):
+        n_mem = machine._bundles[pcs[k]].n_mem
+        step = 1
+        if share and n_mem:
+            step += (fetch_bits + 32 * n_mem + bank_bits - 1) // bank_bits - 1
+        if k in follow:
+            step += config.taken_branch_penalty
+        offsets.append(offsets[k] + step)
+    return offsets
 
 
 class _Write:
@@ -258,10 +298,13 @@ class TraceCache:
 class _TraceBuilder:
     """Generates one superblock function for a chain of bundle PCs."""
 
-    def __init__(self, machine, fastsim, pcs: List[int], t_base: int):
+    def __init__(self, machine, fastsim, pcs: List[int], follow: List[int],
+                 t_base: int):
         self.machine = machine
         self.config = machine.config
         self.pcs = pcs
+        #: Chain positions of followed branches (inlined calls/returns).
+        self.follow = frozenset(follow)
         self.bundles = [machine._bundles[pc] for pc in pcs]
         self.fu_index = fastsim._fu_index
         self.pc_static = fastsim._static      # per-PC (index, k) pairs
@@ -274,22 +317,17 @@ class _TraceBuilder:
         self.budget = config.regfile_ops_per_cycle
         self.model_ports = config.model_port_limit
         self.forwarding = config.forwarding
-        share = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2
-        #: Static fetch stall per chain position.
-        self.fetch = []
-        for bundle in self.bundles:
-            if share and bundle.n_mem:
-                demand = fetch_bits + 32 * bundle.n_mem
-                self.fetch.append((demand + bank_bits - 1) // bank_bits - 1)
-            else:
-                self.fetch.append(0)
+        offsets = _issue_offsets(machine, pcs, self.follow)
+        #: Static fetch stall per chain position: the issue gap minus
+        #: the bundle's own cycle and any followed-branch bubble.
+        self.fetch = [
+            offsets[k + 1] - offsets[k] - 1
+            - (self.penalty if k in self.follow else 0)
+            for k in range(len(pcs))
+        ]
+        self.o_end = offsets.pop()  # cycle after the last bundle
         #: Issue-cycle offset of each chain position (entry = 0).
-        self.offsets = [0]
-        for k in range(len(pcs)):
-            self.offsets.append(self.offsets[k] + 1 + self.fetch[k])
-        self.o_end = self.offsets.pop()  # cycle after the last bundle
+        self.offsets = offsets
 
         self.writes: List[_Write] = []
         self.used: Set[str] = {"EX"}
@@ -307,6 +345,14 @@ class _TraceBuilder:
                 bump[t_base + _T_FETCH] = (
                     bump.get(t_base + _T_FETCH, 0) + self.fetch[k]
                 )
+            if k in self.follow:
+                # A followed branch is taken inside the trace: its
+                # bubble is part of the static schedule.
+                bump[t_base + _T_BRT] = bump.get(t_base + _T_BRT, 0) + 1
+                if self.penalty:
+                    bump[t_base + _T_BUB] = (
+                        bump.get(t_base + _T_BUB, 0) + self.penalty
+                    )
         #: Promoted locals: (space, index) -> local name, insertion order.
         self.bind: Dict[Tuple[int, int], str] = {}
         self._n_mem_words = len(machine.memory)
@@ -469,7 +515,9 @@ class _TraceBuilder:
             return [f"{var} = {value}"], []
 
         if kind in (dec.K_BR, dec.K_BRL):
-            lines = [f"_tg = {self._bread(op.s1)}"]
+            # A followed branch's target is the next chain position.
+            lines = [] if k in self.follow \
+                else [f"_tg = {self._bread(op.s1)}"]
             if kind == dec.K_BRL:
                 self._add_write(k, 0, op.d1, op.latency,
                                 repr((pc + 1) & mask))
@@ -736,6 +784,8 @@ class _TraceBuilder:
         o_next = self.offsets[k + 1] if k < last else self.o_end
         px = " + _x" if need_port else ""
         kind = control.kind if control is not None else None
+        if k in self.follow:
+            kind = None  # taken inside the trace: only a port-stall exit
         if kind in (dec.K_BR, dec.K_BRL):
             body.extend(self._exit(
                 k, True, "_tg",
@@ -808,18 +858,24 @@ class _TraceBuilder:
 
         # Trap fold tables: a trap at position k has executed bundles
         # 0..k (the usual hoisted-counter asymmetry on aborted runs)
-        # but never charged the trapping bundle's fetch stall.
+        # but never charged the trapping bundle's fetch stall, nor
+        # taken its branch if that one was followed.
         trap_info: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
-        t_fetch = self.t_base + _T_FETCH
+        t_base = self.t_base
         for k in trap_bundles:
             pairs: Dict[int, int] = {}
             for i in range(k + 1):
                 for index, n in self.exec_static[i].items():
                     pairs[index] = pairs.get(index, 0) + n
-            if self.fetch[k]:
-                pairs[t_fetch] -= self.fetch[k]
-                if not pairs[t_fetch]:
-                    del pairs[t_fetch]
+            uncharged = [(t_base + _T_FETCH, self.fetch[k])]
+            if k in self.follow:
+                uncharged += [(t_base + _T_BRT, 1),
+                              (t_base + _T_BUB, self.penalty)]
+            for index, n in uncharged:
+                if n:
+                    pairs[index] -= n
+                    if not pairs[index]:
+                        del pairs[index]
             trap_info[k] = (self.pcs[k], sorted(pairs.items()))
 
         # A trap aborts the run, but the architectural state it leaves
@@ -902,23 +958,60 @@ class TraceSim:
 
     # -- trace formation ------------------------------------------------
 
-    def _chain(self, entry_pc: int) -> List[int]:
-        """Walk the static fall-through chain from ``entry_pc``.
+    def _chain(self, entry_pc: int) -> Tuple[List[int], List[int]]:
+        """Walk the static chain from ``entry_pc``; returns ``(pcs, follow)``.
 
-        Ends at an unconditional control transfer (which joins the
-        trace), a loop-back onto the chain, the edge of the program,
-        the length cap, or *before* a guarded unconditional transfer
-        (those stay on the bundle engine).  Conditional branches fall
-        through: the taken direction becomes a side exit.
+        Conditional branches fall through: the taken direction becomes a
+        side exit.  Leaf calls are inlined: an unguarded ``BRL`` whose
+        target register holds an in-chain constant is followed, and so
+        is the ``BR`` whose constant target is the innermost open call's
+        link (its return).  ``follow`` lists the chain positions of
+        those followed branches.
+
+        The chain otherwise ends at an unconditional control transfer
+        (which joins the trace), a loop-back onto the chain, the edge
+        of the program, the length cap, or *before* a guarded
+        unconditional transfer (those stay on the bundle engine).  If a
+        call is still open when it ends, the chain is cut back to the
+        outermost open ``BRL``, which then ends it unfollowed.
+
+        Branch targets are read from the in-chain writes only (nothing
+        from before the entry is known): ``PBR``, the ``BRL`` link,
+        ``MOVI`` and ``MOVE``/``MOVGBP`` of a literal or a known GPR
+        give constants, every other or guarded write gives unknown, and
+        a read at issue offset ``o`` sees the latest write (by ready
+        offset, then issue order) ready by ``o``.  Predicates never hold
+        a target, so they are not tracked.
         """
-        bundles = self._machine._bundles
+        machine = self._machine
+        bundles = machine._bundles
         n_bundles = len(bundles)
+        mask = machine.config.mask
         pcs: List[int] = []
-        seen: Set[int] = set()
+        follow: List[int] = []
+        offsets = [0]
+        #: (space, index) -> [(ready, value or None)] in issue order;
+        #: space 0 = GPR, 2 = BTR.
+        written: Dict[Tuple[int, int], List[Tuple[int, Optional[int]]]] = {}
+        calls: List[Tuple[int, int]] = []  # open calls: (position, link)
+        #: (pc, open-call links): a callee entered twice is no loop.
+        seen: Set[Tuple[int, tuple]] = set()
+        frame: tuple = ()
+
+        def known(space: int, index: int, o: int) -> Optional[int]:
+            if space == 0 and index == 0:
+                return 0
+            value = None
+            latest = -1
+            for ready, constant in written.get((space, index), ()):
+                if latest <= ready <= o:  # ties: later issue wins
+                    latest, value = ready, constant
+            return value
+
         pc = entry_pc
         capped = True  # until another terminator fires first
         while len(pcs) < self._cap:
-            if not 0 <= pc < n_bundles or pc in seen:
+            if not 0 <= pc < n_bundles or (pc, frame) in seen:
                 capped = False
                 break
             bundle = bundles[pc]
@@ -928,55 +1021,87 @@ class TraceSim:
                     and control.kind in _UNCONDITIONAL_KINDS):
                 capped = False
                 break
+            o = offsets[-1]
+            target = None
+            if control is not None and control.kind in (dec.K_BR,
+                                                        dec.K_BRL):
+                target = known(2, control.s1, o)
+            for op in bundle.ops:
+                kind = op.kind
+                if kind == dec.K_PBR:
+                    space, value = 2, op.s1
+                elif kind == dec.K_BRL:
+                    space, value = 0, (pc + 1) & mask
+                elif kind == dec.K_MOVI:
+                    space, value = 0, op.s1 & mask
+                elif (kind == dec.K_MOVGBP
+                      or (kind == dec.K_ALU and op.fn is None)):  # MOVE
+                    space = 2 if kind == dec.K_MOVGBP else 0
+                    value = (op.s1 & mask if op.s1_lit
+                             else known(0, op.s1, o))
+                elif kind in _WRITER_KINDS and kind != dec.K_CMP:
+                    space, value = 0, None
+                else:
+                    continue  # no write, or predicates only
+                if op.guard:
+                    value = None
+                if space == 0 and op.d1 == 0:
+                    continue  # r0 is hardwired
+                written.setdefault((space, op.d1), []).append(
+                    (o + op.latency, value))
+            k = len(pcs)
             pcs.append(pc)
-            seen.add(pc)
+            seen.add((pc, frame))
             if control is not None and control.kind in _UNCONDITIONAL_KINDS:
-                capped = False
-                break
-            pc += 1
-        if capped:
-            pcs = self._trim_quiescent(pcs)
-        return pcs
+                if (control.kind == dec.K_BRL and target is not None
+                        and 0 <= target < n_bundles):
+                    calls.append((k, (pc + 1) & mask))
+                elif (control.kind == dec.K_BR and calls
+                      and target == calls[-1][1]):
+                    calls.pop()
+                else:
+                    capped = False
+                    break
+                follow.append(k)
+                frame = tuple(link for _, link in calls)
+                pc = target
+            else:
+                pc += 1
+            _issue_offsets(machine, pcs, follow, offsets)
+        if calls:
+            del pcs[calls[0][0] + 1:]
+        elif capped:
+            del pcs[self._trim_quiescent(pcs, offsets):]
+        # A followed branch that now ends the chain is an ordinary
+        # terminator again: it leaves through its taken exit.
+        return pcs, [k for k in follow if k < len(pcs) - 1]
 
-    def _trim_quiescent(self, pcs: List[int]) -> List[int]:
-        """Trim a cap-cut chain back to a quiescent hand-over point.
+    def _trim_quiescent(self, pcs: List[int], offsets: List[int]) -> int:
+        """Length to trim a cap-cut chain to, at a quiescent hand-over.
 
         A chain cut mid-block can leave write-backs in flight past its
         fall-through exit, so the continuation trace (formed by exit
         profiling below) would fail its pending-empty entry guard on
         every single dispatch.  Trim to the longest prefix whose writes
-        all land by the prefix's exit cycle; linked traces then hand
-        over cleanly.  When no such point exists in the back half,
+        all land by the prefix's exit cycle (``offsets`` are the chain's
+        issue offsets, from :func:`_issue_offsets`); linked traces then
+        hand over cleanly.  When no such point exists in the back half,
         keep the raw cut — still correct, just slower.
         """
-        machine = self._machine
-        config = machine.config
-        share = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2
-        offsets = [0]
+        bundles = self._machine._bundles
         #: Latest write-back ready cycle among bundles [0, k).
         last_ready = [0] * (len(pcs) + 1)
         latest = 0
         for k, pc in enumerate(pcs):
-            bundle = machine._bundles[pc]
-            o_k = offsets[k]
-            for op in bundle.ops:
+            for op in bundles[pc].ops:
                 if op.kind in _WRITER_KINDS:
-                    ready = o_k + op.latency
-                    if ready > latest:
-                        latest = ready
-            stall = 0
-            if share and bundle.n_mem:
-                demand = fetch_bits + 32 * bundle.n_mem
-                stall = (demand + bank_bits - 1) // bank_bits - 1
-            offsets.append(o_k + 1 + stall)
+                    latest = max(latest, offsets[k] + op.latency)
             last_ready[k + 1] = latest
         floor = max(self._min_len, len(pcs) // 2)
         for m in range(len(pcs), floor - 1, -1):
             if last_ready[m] <= offsets[m]:
-                return pcs[:m]
-        return pcs
+                return m
+        return len(pcs)
 
     def _compile_trace(self, entry_pc: int) -> None:
         machine = self._machine
@@ -984,11 +1109,11 @@ class TraceSim:
         if self._cache is not None:
             code = self._cache.get(machine, entry_pc)
         if code is None:
-            pcs = self._chain(entry_pc)
+            pcs, follow = self._chain(entry_pc)
             if len(pcs) < self._min_len:
                 self._blacklist.add(entry_pc)
                 return
-            builder = _TraceBuilder(machine, self._fastsim, pcs,
+            builder = _TraceBuilder(machine, self._fastsim, pcs, follow,
                                     self._t_base)
             code = builder.build(f"_t{entry_pc}", salt=_current_salt())
             if self._cache is not None:

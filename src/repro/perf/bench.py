@@ -17,7 +17,10 @@ for every cell:
 The trace engine is a JIT: its ``simulate-trace`` timing is taken on a
 second, warm run (the warm-up run that compiles the hot superblocks is
 reported separately as ``trace_compile_seconds``), mirroring how
-``specialise`` is split out for the fast path.
+``specialise`` is split out for the fast path.  ``cold_seconds`` adds
+up what a cell pays before its first warm run — compile, specialise
+and trace warm-up — and the summary totals it as
+``total_cold_seconds``.
 
 The resulting JSON (``BENCH_table1.json`` by default) is the artifact
 behind the "fast path is at least 2x" claim; ``--check`` compares the
@@ -294,6 +297,9 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
             return None
         return round(kcycles_per_second(cycles, elapsed), 1)
 
+    cold_s = sum(seconds.get(phase) or 0.0
+                 for phase in ("compile", "specialise", "trace-compile"))
+
     return {
         "benchmark": spec.name,
         "machine": machine_name,
@@ -303,6 +309,7 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
         "compile_seconds": seconds["compile"],
         "specialise_seconds": seconds.get("specialise"),
         "trace_compile_seconds": seconds.get("trace-compile"),
+        "cold_seconds": cold_s,
         "instrumented_seconds": slow_s,
         "fast_seconds": fast_s,
         "trace_seconds": trace_s,
@@ -319,7 +326,7 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
 #: part of the determinism contract).
 TIMING_FIELDS = (
     "compile_seconds", "specialise_seconds", "trace_compile_seconds",
-    "instrumented_seconds", "fast_seconds", "trace_seconds",
+    "cold_seconds", "instrumented_seconds", "fast_seconds", "trace_seconds",
     "speedup", "trace_speedup", "trace_vs_fast_speedup",
     "fast_kcycles_per_host_second",
     "instrumented_kcycles_per_host_second",
@@ -426,6 +433,8 @@ def run_bench(specs: Sequence[WorkloadSpec],
     total_trace = sum(run["trace_seconds"] for run in traced)
     total_fast_traced = sum(run["fast_seconds"] for run in traced)
     trace_ratios = [run["trace_vs_fast_speedup"] for run in traced]
+    total_cold = sum(run["cold_seconds"] for run in runs
+                     if run.get("cold_seconds") is not None)
     return {
         "generated_by": "repro-bench",
         "quick": quick,
@@ -437,6 +446,7 @@ def run_bench(specs: Sequence[WorkloadSpec],
             "total_instrumented_seconds": total_slow,
             "total_fast_seconds": total_fast,
             "total_trace_seconds": total_trace,
+            "total_cold_seconds": total_cold,
             "overall_speedup":
                 (total_slow / total_fast) if total_fast > 0.0 else 0.0,
             "min_speedup": min(speedups) if speedups else 0.0,

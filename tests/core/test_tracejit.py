@@ -102,27 +102,34 @@ class TestDifferentialWorkloads:
         # superblocks exit after a single bundle, tiny hotness compiles
         # everything, large hotness compiles almost nothing, and odd
         # caps split loop bodies so linked traces hand over mid-loop.
-        spec = SMALL_WORKLOADS["SHA"]()
+        # AES is the workload with calls: small caps fall inside
+        # inlined callees and cut chains back to their call.
         config = epic_with_alus(2)
-        compilation = compile_minic_to_epic(spec.source, config)
-        rng = random.Random(1905)
-        tunings = [(1, 1), (1, 3)] + [
-            (rng.randint(1, 24), rng.randint(1, 96)) for _ in range(4)
-        ]
-        for hotness, cap in tunings:
-            run_three(config, compilation.program, spec.mem_words,
-                      hotness=hotness, cap=cap)
+        for name in ("SHA", "AES"):
+            spec = SMALL_WORKLOADS[name]()
+            compilation = compile_minic_to_epic(spec.source, config)
+            rng = random.Random(1905)
+            tunings = [(1, 1), (1, 3)] + [
+                (rng.randint(1, 24), rng.randint(1, 96)) for _ in range(4)
+            ]
+            for hotness, cap in tunings:
+                run_three(config, compilation.program, spec.mem_words,
+                          hotness=hotness, cap=cap)
 
     def test_ablation_configs_match(self):
-        spec = SMALL_WORKLOADS["DCT"]()
-        for overrides in (
-            {"forwarding": False},
-            {"model_port_limit": False},
-            {"lsu_shares_fetch_bandwidth": True},
-        ):
-            config = epic_config(**overrides)
-            compilation = compile_minic_to_epic(spec.source, config)
-            run_three(config, compilation.program, spec.mem_words)
+        # On AES the port-limit and shared-fetch ablations put
+        # port-stall exits and fetch-stall gaps after inlined calls
+        # and returns.
+        for name in ("DCT", "AES"):
+            spec = SMALL_WORKLOADS[name]()
+            for overrides in (
+                {"forwarding": False},
+                {"model_port_limit": False},
+                {"lsu_shares_fetch_bandwidth": True},
+            ):
+                config = epic_config(**overrides)
+                compilation = compile_minic_to_epic(spec.source, config)
+                run_three(config, compilation.program, spec.mem_words)
 
 
 TRAPPING_LOOP = """
@@ -135,6 +142,23 @@ loop:
   CMPP_LT p1, p2, r4, 40
   (p1) BR b0
   HALT
+"""
+
+
+TRAPPING_CALL = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+loop:
+  PBR b1, leaf
+  ADD r4, r4, 1
+  { SW r4, r4, 40 ; BRL r3, b1 }
+  CMPP_LT p1, p2, r4, 40
+  BRCT b0, p1
+  HALT
+leaf:
+  MOVGBP b2, r3
+  BR b2
 """
 
 
@@ -160,6 +184,29 @@ class TestTrapEquivalence:
             if engine == "trace":
                 assert cpu._tracesim.trace_count > 0
         assert observed[0] == observed[1] == observed[2]
+        assert observed[0][0] == TRAP_OOB_STORE
+
+    def test_trap_beside_an_inlined_call(self):
+        # The store shares its bundle with a followed BRL: the trap
+        # fold must not charge that call's taken branch, just as the
+        # fast path never counts a branch of a bundle that trapped.
+        config = epic_config()
+        program = assemble(TRAPPING_CALL, config)
+        observed = []
+        for engine in ("reference", "fast", "trace"):
+            cpu = EpicProcessor(config, program, mem_words=64,
+                                trace_hotness=2)
+            with pytest.raises(TrapError) as info:
+                cpu.run(max_cycles=10_000, engine=engine)
+            observed.append((info.value.cause, info.value.cycle,
+                             info.value.pc, architectural_state(cpu)))
+            if engine != "reference":
+                observed[-1] += (stats_fingerprint(cpu.stats),)
+            if engine == "trace":
+                assert any(inlines_a_call(runtime.code)
+                           for runtime in cpu._tracesim._runtimes)
+        assert observed[0] == observed[1][:4] == observed[2][:4]
+        assert observed[1] == observed[2]
         assert observed[0][0] == TRAP_OOB_STORE
 
 
@@ -240,6 +287,265 @@ class TestTraceCache:
                              mem_words=spec.mem_words,
                              trace_hotness=2, trace_cache=cache)
         assert cold._trace_sim().traces_compiled == 0
+
+
+LEAF_CALL = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+  MOVI r5, 0
+loop:
+  PBR b1, leaf
+  BRL r3, b1
+  ADD r4, r4, 1
+  CMPP_LT p1, p2, r4, 20
+  BRCT b0, p1
+  SW r5, r0, 40
+  HALT
+leaf:
+  ADD r5, r5, 3
+  MOVGBP b2, r3
+  BR b2
+"""
+
+#: The callee's return address travels through memory.
+RETURN_FROM_MEMORY = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+  MOVI r5, 0
+loop:
+  PBR b1, leaf
+  BRL r3, b1
+  ADD r4, r4, 1
+  CMPP_LT p1, p2, r4, 20
+  BRCT b0, p1
+  SW r5, r0, 40
+  HALT
+leaf:
+  ADD r5, r5, 3
+  SW r3, r0, 50
+  LW r6, r0, 50
+  NOP
+  MOVGBP b2, r6
+  BR b2
+"""
+
+#: A guarded PBR is the latest write to the call's target register.
+GUARDED_PBR = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+  MOVI r5, 0
+  CMPP_EQ p3, p4, r0, 0
+loop:
+  PBR b1, leaf
+  (p3) PBR b1, leaf
+  BRL r3, b1
+  ADD r4, r4, 1
+  CMPP_LT p1, p2, r4, 20
+  BRCT b0, p1
+  SW r5, r0, 40
+  HALT
+leaf:
+  ADD r5, r5, 3
+  MOVGBP b2, r3
+  BR b2
+"""
+
+#: The callee bumps its link past one bundle of the call site.
+CLOBBERED_LINK = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+  MOVI r5, 0
+loop:
+  PBR b1, leaf
+  BRL r3, b1
+  ADD r5, r5, 100
+  ADD r4, r4, 1
+  CMPP_LT p1, p2, r4, 20
+  BRCT b0, p1
+  SW r5, r0, 40
+  HALT
+leaf:
+  ADD r3, r3, 1
+  ADD r5, r5, 3
+  MOVGBP b2, r3
+  BR b2
+"""
+
+#: A loop closed by an unconditional BR whose target is in-chain known.
+BACK_EDGE_LOOP = """
+main:
+  PBR b1, done
+  MOVI r4, 0
+head:
+  PBR b0, head
+  ADD r4, r4, 1
+  CMPP_GE p1, p2, r4, 20
+  BRCT b1, p1
+  BR b0
+done:
+  SW r4, r0, 40
+  HALT
+"""
+
+#: A call bundle that reads two registers while a write lands.
+STALLING_CALL = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+  MOVI r5, 7
+loop:
+  PBR b1, leaf
+  ADD r8, r4, 1
+  { ADD r6, r4, r5 ; SW r4, r0, 40 ; BRL r3, b1 }
+  ADD r4, r4, 1
+  CMPP_LT p1, p2, r4, 20
+  BRCT b0, p1
+  HALT
+leaf:
+  ADD r5, r5, r6
+  MOVGBP b2, r3
+  BR b2
+"""
+
+
+def chain_of(source, entry_label, cap=64):
+    """The chain the trace engine forms at a label, and the program."""
+    config = epic_config()
+    program = assemble(source, config)
+    cpu = EpicProcessor(config, program, mem_words=64, trace_cap=cap)
+    pcs, follow = cpu._trace_sim()._chain(program.labels[entry_label])
+    return program, pcs, follow
+
+
+def inlines_a_call(code):
+    """Does a compiled trace leave fall-through order somewhere?"""
+    return any(b != a + 1 for a, b in zip(code.pcs, code.pcs[1:]))
+
+
+class TestLeafCallInlining:
+    """Chain shapes on hand-written calls; every run stays exact."""
+
+    def test_leaf_call_and_return_are_inlined(self):
+        program, pcs, follow = chain_of(LEAF_CALL, "loop")
+        loop, leaf = program.labels["loop"], program.labels["leaf"]
+        assert pcs == [loop, loop + 1, leaf, leaf + 1, leaf + 2,
+                       loop + 2, loop + 3, loop + 4, loop + 5, loop + 6]
+        assert follow == [1, 4]  # the BRL and the callee's BR
+        _, _, tracer = run_three(epic_config(), program, 64)
+        assert any(inlines_a_call(runtime.code)
+                   for runtime in tracer._tracesim._runtimes)
+
+    def test_return_address_from_memory_is_not_inlined(self):
+        program, pcs, follow = chain_of(RETURN_FROM_MEMORY, "loop")
+        loop = program.labels["loop"]
+        assert pcs == [loop, loop + 1]  # cut back to the BRL
+        assert follow == []
+        run_three(epic_config(), program, 64)
+
+    def test_guarded_pbr_is_not_followed(self):
+        program, pcs, follow = chain_of(GUARDED_PBR, "loop")
+        loop = program.labels["loop"]
+        assert pcs == [loop, loop + 1, loop + 2]  # ends at the BRL
+        assert follow == []
+        run_three(epic_config(), program, 64)
+
+    def test_clobbered_link_is_not_followed(self):
+        program, pcs, follow = chain_of(CLOBBERED_LINK, "loop")
+        loop = program.labels["loop"]
+        assert pcs == [loop, loop + 1]
+        assert follow == []
+        reference, _, _ = run_three(epic_config(), program, 64)
+        assert reference.memory.read(40) == 20 * 3  # the ADD is skipped
+
+    def test_loop_back_edge_is_not_followed(self):
+        program, pcs, follow = chain_of(BACK_EDGE_LOOP, "head")
+        head = program.labels["head"]
+        assert pcs == [head, head + 1, head + 2, head + 3, head + 4]
+        assert follow == []
+        run_three(epic_config(), program, 64)
+
+    def test_cap_inside_callee_truncates_to_the_call(self):
+        program, pcs, follow = chain_of(LEAF_CALL, "loop", cap=4)
+        loop = program.labels["loop"]
+        assert pcs == [loop, loop + 1]
+        assert follow == []
+        for cap in (2, 3, 4, 5, 6, 7):
+            run_three(epic_config(), program, 64, cap=cap)
+
+    def test_port_and_fetch_stalls_at_an_inlined_call(self):
+        # Two register ports: the BRL bundle's two reads plus the
+        # write landing beside them stall, so the trace leaves through
+        # the port-stall exit into the callee; with shared fetch
+        # bandwidth its store adds a fetch stall before the bubble.
+        program = assemble(STALLING_CALL, epic_config())
+        for overrides in ({}, {"lsu_shares_fetch_bandwidth": True}):
+            config = epic_config(regfile_ops_per_cycle=2, **overrides)
+            for hotness, cap in ((1, 4), (3, 7), (2, 64)):
+                _, _, tracer = run_three(config, program, 64,
+                                         hotness=hotness, cap=cap)
+            assert any(inlines_a_call(runtime.code)
+                       for runtime in tracer._tracesim._runtimes)
+            assert tracer.stats.port_stall_cycles > 0
+
+    def test_gmul_trace_contains_xtime(self):
+        spec = SMALL_WORKLOADS["AES"]()
+        config = epic_with_alus(2)
+        program = compile_minic_to_epic(spec.source, config).program
+        _, _, tracer = run_three(config, program, spec.mem_words,
+                                 hotness=16)
+        gmul = tracer._tracesim._traces[program.labels["gmul"]]
+        assert gmul is not None
+        assert program.labels["xtime"] in gmul.code.pcs
+
+
+def observe(cpu):
+    """Cycle count, statistics and architectural state after a run."""
+    return (cpu.stats.cycles, stats_fingerprint(cpu.stats),
+            architectural_state(cpu))
+
+
+class TestInlinedTracesPauseAndRestore:
+    """Quiescent pause/resume and snapshots around inlined AES traces."""
+
+    @pytest.fixture(scope="class")
+    def aes(self):
+        spec = SMALL_WORKLOADS["AES"]()
+        config = epic_with_alus(2)
+        program = compile_minic_to_epic(spec.source, config).program
+        reference = EpicProcessor(config, program, mem_words=spec.mem_words)
+        reference.run(engine="reference")
+        return spec, config, program, observe(reference)
+
+    def test_segmented_run_matches(self, aes):
+        spec, config, program, expected = aes
+        cpu = EpicProcessor(config, program, mem_words=spec.mem_words,
+                            trace_hotness=2)
+        result = cpu.run(engine="trace", until_cycle=997)
+        while not result.halted:
+            result = cpu.run(engine="trace",
+                             until_cycle=cpu._resume_cycle + 4099)
+        assert any(inlines_a_call(runtime.code)
+                   for runtime in cpu._tracesim._runtimes)
+        assert observe(cpu) == expected
+
+    def test_snapshot_round_trip_matches(self, aes):
+        spec, config, program, expected = aes
+        cpu = EpicProcessor(config, program, mem_words=spec.mem_words,
+                            trace_hotness=2)
+        cpu.run(engine="trace", until_cycle=20_000)
+        snap = cpu.snapshot()
+        cpu.run(engine="trace", until_cycle=snap.cycle + 5_000)
+        cpu.gpr._values[4] ^= 0xBEEF
+        cpu.memory._words[0] ^= 1
+        cpu.restore(snap)
+        cpu.run(engine="trace")
+        assert any(inlines_a_call(runtime.code)
+                   for runtime in cpu._tracesim._runtimes)
+        assert observe(cpu) == expected
 
 
 SIMPLE_LOOP = """

@@ -174,6 +174,12 @@ class TestTraceEngineBench:
         assert run["trace_kcycles_per_host_second"] is not None
         summary = tiny_payload["summary"]
         assert summary["overall_trace_vs_fast_speedup"] > 0.0
+        # Cold = everything paid before the first warm run.
+        assert run["cold_seconds"] == pytest.approx(
+            run["compile_seconds"] + run["specialise_seconds"]
+            + run["trace_compile_seconds"])
+        assert summary["total_cold_seconds"] == pytest.approx(
+            run["cold_seconds"])
         assert summary["trace_cache"]["compiles"] >= 0
 
     def test_trace_columns_never_leak_into_determinism(self, tiny_payload):
@@ -195,6 +201,8 @@ class TestTraceEngineBench:
         assert cell["trace_seconds"] > 0.0
         assert cell["trace_compile_seconds"] > 0.0
         assert cell["fast_seconds"] is None
+        assert cell["cold_seconds"] == pytest.approx(
+            cell["compile_seconds"] + cell["trace_compile_seconds"])
 
     def test_unknown_engine_rejected_with_choices(self):
         with pytest.raises(SimulationError, match="unknown bench engine"):
