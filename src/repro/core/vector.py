@@ -45,9 +45,9 @@ golden machine's *control flow*:
   DETECTED on the spot (the caller supplies the exact trap text via the
   ``ifetch`` callback); a fetch that deterministically *rewrites* the
   program (it still decodes, or the recorded decode trap skips the
-  bundle) yields a :class:`RewalkTicket` so the caller can classify
-  every lane sharing the same rewritten fetch with **one** scalar
-  re-walk (the grouped second pass) instead of one run per lane;
+  bundle) is first *absorbed* in-lane when it provably keeps the
+  golden timing, and otherwise yields a :class:`RewalkTicket`: the
+  caller classifies that lane with one scalar re-walk;
 * parity-protected targets retire (``parity-protected``) — poison
   bookkeeping belongs to the scalar machine;
 * out-of-range or malformed fault specs retire (``fault-out-of-range``)
@@ -64,8 +64,8 @@ lane-invariant), so its final cycle count *is* ``reference_cycles`` and
 in-vector classification is exact:
 
 * **convergence cut** — at a quiescent cycle (empty write-back queue),
-  an activated non-stuck lane whose whole state equals row 0 can never
-  diverge again: MASKED immediately (PR 5 semantics);
+  an activated non-stuck lane whose whole state (registers and memory
+  row) equals row 0 can never diverge again: MASKED immediately;
 * **end of walk** — surviving lanes halt with the golden machine and
   are classified by diffing their outputs against the golden model in
   exactly the scalar checker's order (SDC on the first mismatch,
@@ -151,39 +151,24 @@ class LaneOutcome:
 
 @dataclass(frozen=True)
 class RewalkTicket:
-    """One lane deferred to the grouped second pass.
+    """One fetch-fault lane to classify with a scalar re-walk.
 
-    The fault corrupts exactly one fetch: at ``cycle`` the bundle at
-    ``pc`` is replaced by the decode of ``word`` (slot ``slot``
-    re-encoded with one bit flipped).  Machine state at that fetch is
-    still golden — ifetch faults touch no architectural state before
-    they fire — so the continuation is a pure function of this key:
-    every lane sharing it runs a byte-identical trajectory.  The caller
-    groups tickets by :attr:`key` and classifies each group with one
-    scalar re-walk of the rewritten program (the group's own "golden
-    row"), sharing the outcome across the group instead of retiring
-    each lane individually.
+    The fault corrupts exactly one fetch: the fetched bundle is
+    replaced by one whose slot ``slot`` was re-encoded with one bit
+    flipped.  Unlike a retired lane, a ticket is an expected
+    resolution, not a failure of the walk: the caller runs the lane on
+    the scalar checker and counts it as a re-walk.
 
-    ``bundle`` (when the resolver attaches it) is the re-decoded
-    :class:`~repro.core.decode.PreBundle` of the rewritten fetch and
-    ``one_shot`` marks a transient (SEU) fault.  Both are advisory:
-    the walk may use them to *absorb* the rewritten fetch in-vector
-    (see ``_try_absorb``) instead of issuing the ticket, and must fall
-    back to the ticket whenever it cannot prove timing congruence.
-    They deliberately stay out of :attr:`key` — the grouped re-walk
-    contract depends only on the rewritten fetch itself.
+    ``bundle`` is the re-decoded :class:`~repro.core.decode.PreBundle`
+    of the rewritten fetch, or ``None`` when the word no longer
+    decodes.  The walk uses it to *absorb* the rewritten fetch
+    in-vector (see ``absorb`` in the walk) instead of issuing the
+    ticket, and falls back to the ticket whenever it cannot prove
+    timing congruence.
     """
 
-    cycle: int
-    pc: int
     slot: int
-    word: int
     bundle: object = None
-    one_shot: bool = False
-
-    @property
-    def key(self) -> Tuple[int, int, int, int]:
-        return (self.cycle, self.pc, self.slot, self.word)
 
 
 class _VectorAbort(Exception):
@@ -194,7 +179,7 @@ class _Lane:
     """One injected machine riding the walk."""
 
     __slots__ = ("index", "fault", "row", "gpr", "pred", "btr", "mem",
-                 "stuck", "dirty", "traps", "born", "running")
+                 "witness", "stuck", "traps", "born", "running")
 
     def __init__(self, index: int, fault, row: int):
         self.index = index       # position in the caller's fault list
@@ -211,9 +196,13 @@ class _Lane:
         self.pred: Dict[int, int] = {}
         self.btr: Dict[int, int] = {}
         self.mem = None          # row of the memory plane
+        #: An address where ``mem`` differed from the golden row at the
+        #: last convergence check.  While it still differs the lane
+        #: cannot be cut, so the check skips the full-row diff.
+        self.witness = 0
         #: True while the lane is in ``active`` (a runner); cleared on
-        #: retire/cut/freeze so stale divergence-set rows are skippable
-        #: without list membership tests.
+        #: retire/cut so stale divergence-set rows are skippable without
+        #: list membership tests.
         self.running = False
         self.stuck = fault.model != _MODEL_SEU
         #: Traps recorded in-lane under non-halt trap policies, in the
@@ -222,10 +211,6 @@ class _Lane:
         #: ``stats["iterations"]`` value at activation; -1 until then.
         #: Used to attribute walked cycles to lanes that later retire.
         self.born = -1
-        #: While *frozen* (registers equal to the golden row, memory
-        #: differing only at these addresses) the lane skips per-op
-        #: execution entirely; ``None`` when the lane is a runner.
-        self.dirty: Optional[set] = None
 
 
 class VectorEngine:
@@ -311,9 +296,9 @@ class VectorEngine:
         """Classify ``faults``; returns ``(outcomes, stats)``.
 
         ``outcomes[i]`` is a :class:`LaneOutcome`, a
-        :class:`RewalkTicket` (classify the lane in the caller's
-        grouped second pass) or ``None`` (lane retired — re-run it on
-        the scalar checker).  ``stream`` is an optional golden
+        :class:`RewalkTicket` (the caller re-walks the lane on the
+        scalar checker) or ``None`` (lane retired — re-run it on the
+        scalar checker).  ``stream`` is an optional golden
         :class:`~repro.core.snapshot.CheckpointStream` used for
         golden-jumps between activations.  ``ifetch`` resolves
         instruction-fetch faults: called as ``ifetch(cycle, pc, fault)``
@@ -323,32 +308,35 @@ class VectorEngine:
         :class:`RewalkTicket` (the fetch deterministically rewrites the
         program) or ``None`` (the lane retires).  ``strict`` re-raises
         internal errors instead of retiring, for tests.
+
+        ``stats`` uses :meth:`LockstepChecker.run_batch`'s key names,
+        so a batch sums its passes key by key.  ``lane_capacity`` is
+        walked cycles times lanes in the pass.
         """
         faults = list(faults)
         outcomes: List[Optional[object]] = [None] * len(faults)
         reasons: Dict[int, str] = {}
         stats = {
-            "faults": len(faults),
+            "vector_faults": len(faults),
             "classified": 0,
             "activated": 0,
             "cuts": 0,
             "jumps": 0,
             "iterations": 0,
             "lane_cycles": 0,
-            "frozen_cycles": 0,
             "wasted_lane_cycles": 0,
-            "rewalk": 0,
-            "absorbed": 0,
-            "capacity": 0,
+            "lane_capacity": 0,
+            "rewalk_lanes": 0,
+            "absorbed_lanes": 0,
             "retired": {},
         }
 
         def retire(index: int, reason: str) -> None:
             reasons[index] = reason
 
+        walk: List[Tuple[int, object]] = []
+        fetch_queue: List[Tuple[int, object]] = []
         try:
-            walk: List[Tuple[int, object]] = []
-            fetch_queue: List[Tuple[int, object]] = []
             for position, fault in enumerate(faults):
                 space = fault.space
                 model = fault.model
@@ -390,12 +378,14 @@ class VectorEngine:
                 raise
             # Safety net: the engine may only decline work.  Anything
             # unresolved goes back to the scalar checker.  (Tickets
-            # already issued stay valid: a rewritten fetch is a pure
-            # function of its key, independent of the walk's health.)
+            # already issued stay valid: a rewritten fetch depends only
+            # on golden state, not on the walk's health.)
             for position, outcome in enumerate(outcomes):
                 if outcome is None and position not in reasons:
                     reasons[position] = RETIRE_ENGINE
             stats["wasted_lane_cycles"] = stats["lane_cycles"]
+        stats["lane_capacity"] = stats["iterations"] * max(
+            1, len(walk) + len(fetch_queue))
         retired: Dict[str, int] = stats["retired"]
         for reason in reasons.values():
             retired[reason] = retired.get(reason, 0) + 1
@@ -446,7 +436,6 @@ class VectorEngine:
         row_lane = {lane.row: lane for lane in lanes}
         for lane in fetch_lanes:
             row_lane[lane.row] = lane
-        stats["capacity"] = max(1, len(lanes) + len(fetch_queue))
 
         # Divergence sets: for each architectural register, the rows
         # whose overlay carries an entry there.  Conservative supersets
@@ -459,10 +448,6 @@ class VectorEngine:
         div_gpr: List[set] = [set() for _ in range(n_gprs)]
         div_pred: List[set] = [set() for _ in range(config.n_preds)]
         div_btr: List[set] = [set() for _ in range(config.n_btrs)]
-        # Frozen lanes indexed by dirty address, so golden loads and
-        # stores find the (rare) affected lanes without scanning the
-        # whole frozen population every memory op.
-        frozen_index: Dict[int, List[_Lane]] = {}
 
         mem_plane = np.empty((n_rows, self.mem_words), dtype=np.int64)
         # Every row starts at base memory (not zeros): golden column
@@ -478,15 +463,11 @@ class VectorEngine:
         act_at = 0
         fetch_at = 0
 
-        # ``active`` lanes (runners) carry full private register state
-        # and execute every op; ``frozen`` lanes are provably identical
-        # to the golden row except at the memory addresses in their
-        # ``dirty`` set, so they skip per-op execution entirely — they
-        # only watch golden loads (a hit on a dirty word unfreezes the
-        # lane) and golden stores (which overwrite, and thereby *clean*,
-        # dirty words; an empty dirty set is an immediate MASKED cut).
+        # ``active`` lanes (runners) are the activated, unresolved lanes.
+        # A lane whose registers match the golden row costs nothing per
+        # op (it sits in no divergence set); its dirty memory words
+        # reach it through the golden-address column compare on loads.
         active: List[_Lane] = []
-        frozen: List[_Lane] = []
         stuck: List[_Lane] = []
         # The injector re-asserts stuck-at bits every cycle, but the
         # assert is idempotent: between writes to the target the value
@@ -626,33 +607,6 @@ class VectorEngine:
                     else:
                         svec[row] = _KEEP
 
-        #: Freezing is only sound with no write-backs in flight (a
-        #: pending column could still land a divergent value), so it
-        #: happens at cut checks (pending provably empty) or at a
-        #: mem-fault activation (earlier pushes carry no entry for a
-        #: not-yet-activated row, and the drain default is golden).
-        FREEZE_MAX_DIRTY = 32
-
-        def freeze(lane: _Lane, dirty: set) -> None:
-            active.remove(lane)
-            lane.running = False
-            release_rows(lane)
-            lane.dirty = dirty
-            frozen.append(lane)
-            for a in dirty:
-                frozen_index.setdefault(a, []).append(lane)
-
-        def unfreeze(lane: _Lane) -> None:
-            frozen.remove(lane)
-            for a in lane.dirty:
-                frozen_index[a].remove(lane)
-            lane.dirty = None
-            lane.gpr.clear()
-            lane.pred.clear()
-            lane.btr.clear()
-            lane.running = True
-            active.append(lane)
-
         # ---- in-lane absorption of rewritten fetches ---------------------
         # A transient ifetch fault rewrites exactly one fetched word; the
         # machine then runs the original program with one bundle swapped
@@ -661,7 +615,7 @@ class VectorEngine:
         # memory-bank demand, no control-flow ops, no trap potential —
         # the fault is just a *value* divergence at the differing slot:
         # the lane rides the vector like any register fault, and the
-        # grouped scalar re-walk is skipped entirely.  Any check that
+        # scalar re-walk is skipped entirely.  Any check that
         # fails falls back to the ticket, so absorption can only ever
         # trade a scalar re-walk for an in-vector ride, never change an
         # outcome.
@@ -845,7 +799,7 @@ class VectorEngine:
                 raise _VectorAbort(
                     f"walk overran the reference run ({cycle} >= "
                     f"{reference_cycles} cycles)")
-            if not active and not frozen and act_at >= len(activations) \
+            if not active and act_at >= len(activations) \
                     and fetch_at >= len(fetch_queue):
                 # Every lane resolved; the golden continuation is known.
                 break
@@ -864,18 +818,22 @@ class VectorEngine:
                                 or any(v != g_btr[r]
                                        for r, v in lane.btr.items()):
                             continue
-                        # Registers reconverged; diff the memory row.
-                        dirty = set((lane.mem != g_mem).nonzero()[0]
-                                    .tolist())
-                        if not dirty:
+                        # Registers reconverged; diff the memory row,
+                        # first at the word that differed last time (a
+                        # full-row diff costs O(mem_words) per check).
+                        word = lane.witness
+                        if lane.mem[word] != g_mem[word]:
+                            continue
+                        word = int((lane.mem != g_mem).argmax())
+                        if lane.mem[word] != g_mem[word]:
+                            lane.witness = word
+                        else:
                             drop(lane)
                             outcomes[lane.index] = \
                                 self._resolve_converged(lane)
                             stats["cuts"] += 1
-                        elif len(dirty) <= FREEZE_MAX_DIRTY:
-                            freeze(lane, dirty)
                     next_cut = cycle + cut_interval
-                elif not active and not frozen and stream is not None:
+                elif not active and stream is not None:
                     # Golden-jump: fast-forward row 0 to the nearest
                     # checkpoint at or before the next activation.
                     targets = []
@@ -1012,34 +970,23 @@ class VectorEngine:
                 act_at += 1
                 lane.born = stats["iterations"]
                 lane.mem[:] = g_mem
-                if lane.fault.space == _SPACE_MEM and not lane.stuck:
-                    # A transient memory flip leaves the registers
-                    # golden and dirties exactly one word: the lane is
-                    # born frozen.  (An SEU flip always changes the
-                    # word, so the dirty set is never vacuously stale.)
-                    self._apply_fault(lane, mask, g_gpr, g_pred, g_btr)
-                    lane.dirty = {lane.fault.index}
-                    frozen.append(lane)
-                    frozen_index.setdefault(
-                        lane.fault.index, []).append(lane)
-                else:
-                    lane.running = True
-                    active.append(lane)
-                    if lane.stuck:
-                        stuck.append(lane)
-                        if lane.fault.space == _SPACE_MEM:
-                            stuck_mem.append(lane)
-                        else:
-                            stuck_reg.setdefault(
-                                stuck_key(lane), []).append(lane)
-                    self._apply_fault(lane, mask, g_gpr, g_pred, g_btr)
-                    space = lane.fault.space
-                    if space == _SPACE_GPR:
-                        div_gpr[lane.fault.index].add(lane.row)
-                    elif space == _SPACE_PRED:
-                        div_pred[lane.fault.index].add(lane.row)
-                    elif space == _SPACE_BTR:
-                        div_btr[lane.fault.index].add(lane.row)
+                lane.running = True
+                active.append(lane)
+                if lane.stuck:
+                    stuck.append(lane)
+                    if lane.fault.space == _SPACE_MEM:
+                        stuck_mem.append(lane)
+                    else:
+                        stuck_reg.setdefault(
+                            stuck_key(lane), []).append(lane)
+                self._apply_fault(lane, mask, g_gpr, g_pred, g_btr)
+                space = lane.fault.space
+                if space == _SPACE_GPR:
+                    div_gpr[lane.fault.index].add(lane.row)
+                elif space == _SPACE_PRED:
+                    div_pred[lane.fault.index].add(lane.row)
+                elif space == _SPACE_BTR:
+                    div_btr[lane.fault.index].add(lane.row)
                 stats["activated"] += 1
             while fetch_at < len(fetch_queue) \
                     and fetch_queue[fetch_at][1].cycle <= cycle:
@@ -1048,25 +995,21 @@ class VectorEngine:
                 if resolved is None:
                     retire(position, RETIRE_IFETCH)
                 elif isinstance(resolved, RewalkTicket):
-                    if resolved.one_shot and resolved.bundle is not None \
+                    if resolved.bundle is not None \
                             and absorb(fetch_lanes[fetch_at], resolved):
                         # Timing-congruent rewrite: absorbed in-lane,
                         # no scalar re-walk needed.
-                        stats["absorbed"] += 1
+                        stats["absorbed_lanes"] += 1
                     else:
-                        # Deferred to the caller's grouped second pass
-                        # (one scalar re-walk shared by every lane with
-                        # this key).
                         outcomes[position] = resolved
-                        stats["rewalk"] += 1
+                        stats["rewalk_lanes"] += 1
                 else:
                     outcomes[position] = resolved
                 fetch_at += 1
 
             bundle = bundles[pc]
             stats["iterations"] += 1
-            stats["lane_cycles"] += len(active) + len(frozen)
-            stats["frozen_cycles"] += len(frozen)
+            stats["lane_cycles"] += len(active)
             if have_squash:
                 squashed_rows.clear()
                 have_squash = False
@@ -1281,7 +1224,7 @@ class VectorEngine:
                     else:
                         golden = int(g_mem[address])
                     vec = None
-                    if active or frozen:
+                    if active:
                         vec = {}
                         # Rows divergent at an address operand compute
                         # their own address (with the OOB/trap paths).
@@ -1340,16 +1283,6 @@ class VectorEngine:
                                 if have_squash and r in squashed_rows:
                                     continue
                                 vec[r] = int(mem_plane[r, address])
-                            if frozen:
-                                # Frozen lanes load from the golden
-                                # address; a hit on a dirty word
-                                # diverges the lane.
-                                hit_f = frozen_index.get(address)
-                                if hit_f:
-                                    for lane in list(hit_f):
-                                        unfreeze(lane)
-                                        value = lane.mem[address]
-                                        vec[lane.row] = int(value)
                     if absorb_map and op_slot in absorb_map:
                         for arow, aval in absorb_map[op_slot]:
                             if aval != golden:
@@ -1557,8 +1490,8 @@ class VectorEngine:
             # ---- buffered stores land (validated at issue) -----------
             if store_buffer:
                 for address, golden, vec in store_buffer:
-                    # Column write: every row (golden, active, frozen,
-                    # even dead — harmless) takes the golden store;
+                    # Column write: every row (golden, active, even
+                    # dead — harmless) takes the golden store;
                     # divergent entries then restore or redirect their
                     # own rows.  A _KEEP row and a row storing elsewhere
                     # both need the word's PRE-store value back, so
@@ -1594,20 +1527,6 @@ class VectorEngine:
                         if hit == s.fault.index:
                             self._assert_stuck(s, mask,
                                                g_gpr, g_pred, g_btr)
-                    # A frozen lane stores the golden value to the
-                    # golden address — overwriting a dirty word cleans
-                    # it, and a lane with nothing dirty left IS the
-                    # golden machine: immediate MASKED cut.
-                    hit_f = frozen_index.pop(address, None)
-                    if hit_f:
-                        for lane in hit_f:
-                            lane.dirty.discard(address)
-                            if not lane.dirty:
-                                frozen.remove(lane)
-                                lane.dirty = None
-                                outcomes[lane.index] = \
-                                    self._resolve_converged(lane)
-                                stats["cuts"] += 1
                 del store_buffer[:]
 
             # ---- issue-cost accounting -------------------------------
@@ -1724,9 +1643,7 @@ class VectorEngine:
 
         # Surviving lanes halted in lockstep with the golden machine:
         # classify by output diff, in the scalar checker's exact order.
-        # A frozen lane's overlays are empty (its registers ARE the
-        # golden row), so the same effective read covers both kinds.
-        for lane in active + frozen:
+        for lane in active:
             outcomes[lane.index] = self._classify_outputs(lane, g_gpr)
         # Faults whose cycle lay beyond the last issue cycle never
         # fired; the machine ran the golden trajectory to completion.

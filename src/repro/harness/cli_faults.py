@@ -110,8 +110,8 @@ def main(argv=None) -> int:
                         default=None, metavar="F",
                         help="with --gate-vector-speedup: fail unless the "
                              "fraction of lanes genuinely retired to the "
-                             "scalar checker (grouped re-walks excluded) "
-                             "is < F")
+                             "scalar checker (fetch-fault re-walks "
+                             "excluded) is < F")
     parser.add_argument("--retirement-out", default=None, metavar="FILE",
                         help="write a per-reason lane-retirement artifact "
                              "(JSON) from the vector engine's telemetry")
@@ -305,8 +305,7 @@ def main(argv=None) -> int:
                         if "vector_occupancy" in timing:
                             print(f"    vector: "
                                   f"{timing['vector_faults']} lanes, "
-                                  f"{timing['rewalk_lanes']} re-walked in "
-                                  f"{timing['rewalk_groups']} group(s), "
+                                  f"{timing['rewalk_lanes']} re-walked, "
                                   f"{timing['scalar_faults']} retired to "
                                   f"scalar, occupancy "
                                   f"{timing['vector_occupancy']:.2f} "
@@ -360,7 +359,6 @@ def main(argv=None) -> int:
                 "lanes_retired": source["lanes_retired"],
                 "scalar_faults": source["scalar_faults"],
                 "rewalk_lanes": source.get("rewalk_lanes", 0),
-                "rewalk_groups": source.get("rewalk_groups", 0),
                 "retired_fraction": source["scalar_faults"] / arguments.n,
                 "engine_downgrade_reason":
                     source.get("engine_downgrade_reason"),

@@ -326,44 +326,8 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
                 meta.get("ff_convergence_cuts", 0) for meta in shard_metas),
         }
         if engine == "vector":
-            lanes_retired: Dict[str, int] = {}
-            for meta in shard_metas:
-                for reason, count in meta.get("lanes_retired", {}).items():
-                    lanes_retired[reason] = \
-                        lanes_retired.get(reason, 0) + count
-            lane_cycles = sum(meta.get("vector_lane_cycles", 0)
-                              for meta in shard_metas)
-            lane_capacity = sum(meta.get("vector_lane_capacity", 0)
-                                for meta in shard_metas)
-            wasted = sum(meta.get("vector_wasted_cycles", 0)
-                         for meta in shard_metas)
-            downgrade = next(
-                (meta["engine_downgrade_reason"] for meta in shard_metas
-                 if meta.get("engine_downgrade_reason")), None)
-            report.timing.update({
-                "vector_faults": sum(meta.get("vector_faults", 0)
-                                     for meta in shard_metas),
-                "scalar_faults": sum(meta.get("vector_scalar_faults", 0)
-                                     for meta in shard_metas),
-                "vector_cuts": sum(meta.get("vector_cuts", 0)
-                                   for meta in shard_metas),
-                "vector_jumps": sum(meta.get("vector_jumps", 0)
-                                    for meta in shard_metas),
-                "lanes_retired": lanes_retired,
-                # Only cycles spent on lanes the engine classified count
-                # as occupancy; retired-lane cycles are wasted work.
-                "vector_occupancy": ((lane_cycles - wasted) / lane_capacity
-                                     if lane_capacity else 0.0),
-                "wasted_retired_cycles": (wasted / lane_capacity
-                                          if lane_capacity else 0.0),
-                "rewalk_lanes": sum(meta.get("rewalk_lanes", 0)
-                                    for meta in shard_metas),
-                "rewalk_groups": sum(meta.get("rewalk_groups", 0)
-                                     for meta in shard_metas),
-                "rewalk_lane_cycles": sum(meta.get("rewalk_lane_cycles", 0)
-                                          for meta in shard_metas),
-                "engine_downgrade_reason": downgrade,
-            })
+            # A vector shard's meta carries its run_batch stats as is.
+            report.timing.update(_vector_timing(shard_metas))
         return report
 
     if checker is None:
@@ -412,29 +376,42 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
             ff_after["convergence_cuts"] - ff_before["convergence_cuts"],
     }
     if vstats is not None:
-        lane_capacity = vstats["lane_capacity"]
-        wasted = vstats["wasted_lane_cycles"]
-        useful = vstats["lane_cycles"] - wasted
-        report.timing.update({
-            "vector_faults": vstats["vector_faults"],
-            "scalar_faults": vstats["scalar_faults"],
-            "vector_cuts": vstats["cuts"],
-            "vector_jumps": vstats["jumps"],
-            "lanes_retired": dict(vstats["retired"]),
-            # Occupancy counts only lanes that the engine classified:
-            # cycles burnt by lanes that later retired to the scalar
-            # checker are wasted work, reported under their own key so
-            # utilisation is not overstated.
-            "vector_occupancy": (useful / lane_capacity
-                                 if lane_capacity else 0.0),
-            "wasted_retired_cycles": (wasted / lane_capacity
-                                      if lane_capacity else 0.0),
-            "rewalk_lanes": vstats["rewalk_lanes"],
-            "rewalk_groups": vstats["rewalk_groups"],
-            "rewalk_lane_cycles": vstats["rewalk_lane_cycles"],
-            "engine_downgrade_reason": vstats["engine_downgrade_reason"],
-        })
+        report.timing.update(_vector_timing([vstats]))
     return report
+
+
+def _vector_timing(batches: Sequence[Dict[str, object]]
+                   ) -> Dict[str, object]:
+    """The vector block of ``CampaignReport.timing``, summed over the
+    ``LockstepChecker.run_batch`` stats of every shard of a campaign."""
+    def total(key: str) -> int:
+        return sum(batch[key] for batch in batches)
+
+    lanes_retired: Dict[str, int] = {}
+    for batch in batches:
+        for reason, count in batch["retired"].items():
+            lanes_retired[reason] = lanes_retired.get(reason, 0) + count
+    capacity = total("lane_capacity")
+    wasted = total("wasted_lane_cycles")
+    return {
+        "vector_faults": total("vector_faults"),
+        "scalar_faults": total("scalar_faults"),
+        "vector_cuts": total("cuts"),
+        "vector_jumps": total("jumps"),
+        "lanes_retired": lanes_retired,
+        # Occupancy counts only lanes that the engine classified:
+        # cycles burnt by lanes that later retired to the scalar
+        # checker are wasted work, reported under their own key so
+        # utilisation is not overstated.
+        "vector_occupancy": ((total("lane_cycles") - wasted) / capacity
+                             if capacity else 0.0),
+        "wasted_retired_cycles": wasted / capacity if capacity else 0.0,
+        "rewalk_lanes": total("rewalk_lanes"),
+        "rewalk_lane_cycles": total("rewalk_lane_cycles"),
+        "engine_downgrade_reason": next(
+            (batch["engine_downgrade_reason"] for batch in batches
+             if batch["engine_downgrade_reason"]), None),
+    }
 
 
 def measure_campaign_throughput(

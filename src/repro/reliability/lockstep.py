@@ -254,7 +254,7 @@ class LockstepChecker:
     def _ifetch_outcome(self, cycle: int, pc: int, fault: FaultSpec):
         """Resolve an instruction-fetch fault at the fetch it corrupts.
 
-        Three resolutions, all fully determined at the fetch (the fault
+        Two resolutions, both fully determined at the fetch (the fault
         is one-shot and machine state at the fetch is still golden):
 
         * the word no longer decodes and the trap policy is ``halt`` —
@@ -264,11 +264,10 @@ class LockstepChecker:
         * the word still decodes into a different-but-legal bundle, or
           it no longer decodes but a non-halt policy records the trap
           and skips the bundle — either way the program is
-          deterministically *rewritten* at this fetch, and the
-          continuation depends only on ``(cycle, pc, slot, word)``:
-          return a :class:`~repro.core.vector.RewalkTicket` so
-          :meth:`run_batch` classifies the whole group with one scalar
-          re-walk.
+          deterministically *rewritten* at this fetch: return a
+          :class:`~repro.core.vector.RewalkTicket`, which the walk
+          absorbs in-lane when it can and :meth:`run_batch` otherwise
+          classifies with one scalar re-walk.
         """
         from repro.core.vector import LaneOutcome, RewalkTicket
         from repro.errors import TRAP_ILLEGAL_INSTRUCTION
@@ -290,9 +289,7 @@ class LockstepChecker:
             # an ifetch fault at its first fetch regardless of model
             # (``fetch_bundle`` advances past it), so stuck-at ifetch
             # faults corrupt exactly one bundle too.
-            return RewalkTicket(cycle, pc, slot, word,
-                                bundle=corrupted,
-                                one_shot=True)
+            return RewalkTicket(slot, bundle=corrupted)
         trap = TrapError(
             f"corrupted instruction word {word:#x} does not decode: "
             f"{error}",
@@ -314,11 +311,11 @@ class LockstepChecker:
         also kept on :attr:`vector_stats`.
 
         Instruction-fetch faults that deterministically rewrite the
-        program come back as :class:`~repro.core.vector.RewalkTicket`
-        markers; all lanes sharing a ticket key are byte-identical
-        machines, so each *group* is classified with a single
-        :meth:`run_one` (the grouped second pass) whose outcome every
-        member shares.
+        program, and that the walk could not absorb in-lane, come back
+        as :class:`~repro.core.vector.RewalkTicket` markers; each is
+        classified with :meth:`run_one` and counted as a re-walk
+        (``rewalk_lanes``, ``rewalk_lane_cycles``), not as a retired
+        lane.
 
         The walk handles all trap policies (non-halt policies record
         per-lane traps in the lane plane) but still requires a
@@ -333,9 +330,8 @@ class LockstepChecker:
         stats: Dict[str, object] = {
             "vector_faults": 0, "scalar_faults": 0, "classified": 0,
             "activated": 0, "cuts": 0, "jumps": 0, "iterations": 0,
-            "lane_cycles": 0, "frozen_cycles": 0,
-            "wasted_lane_cycles": 0, "lane_capacity": 0,
-            "rewalk_lanes": 0, "rewalk_groups": 0,
+            "lane_cycles": 0, "wasted_lane_cycles": 0,
+            "lane_capacity": 0, "rewalk_lanes": 0,
             "rewalk_lane_cycles": 0, "absorbed_lanes": 0,
             "retired": {}, "passes": 0,
             "engine_downgrade_reason": None,
@@ -346,7 +342,7 @@ class LockstepChecker:
             stats["engine_downgrade_reason"] = "golden-run-traps"
         eligible = stats["engine_downgrade_reason"] is None
         results: List[Optional[InjectionResult]] = [None] * len(faults)
-        rewalk: Dict[tuple, List[tuple]] = {}
+        retired: Dict[str, int] = stats["retired"]
         if eligible:
             engine = self._vector_engine()
             stream = None
@@ -357,48 +353,25 @@ class LockstepChecker:
                 outcomes, pass_stats = engine.run_pass(
                     chunk, stream=stream, ifetch=self._ifetch_outcome)
                 stats["passes"] += 1
-                stats["vector_faults"] += len(chunk)
-                stats["classified"] += pass_stats["classified"]
-                stats["activated"] += pass_stats["activated"]
-                stats["cuts"] += pass_stats["cuts"]
-                stats["jumps"] += pass_stats["jumps"]
-                stats["iterations"] += pass_stats["iterations"]
-                stats["lane_cycles"] += pass_stats["lane_cycles"]
-                stats["frozen_cycles"] += pass_stats["frozen_cycles"]
-                stats["wasted_lane_cycles"] += \
-                    pass_stats["wasted_lane_cycles"]
-                stats["absorbed_lanes"] += pass_stats["absorbed"]
-                stats["lane_capacity"] += (pass_stats["iterations"]
-                                           * pass_stats["capacity"])
-                for reason, count in pass_stats["retired"].items():
-                    stats["retired"][reason] = \
-                        stats["retired"].get(reason, 0) + count
+                for key, value in pass_stats.items():
+                    if key == "retired":
+                        for reason, count in value.items():
+                            retired[reason] = retired.get(reason, 0) + count
+                    else:
+                        stats[key] += value
                 for offset, outcome in enumerate(outcomes):
                     if outcome is None:
                         continue
                     fault = chunk[offset]
                     if isinstance(outcome, RewalkTicket):
-                        rewalk.setdefault(outcome.key, []).append(
-                            (start + offset, fault))
-                        continue
-                    results[start + offset] = InjectionResult(
-                        fault, Outcome(outcome.outcome), outcome.detail,
-                        outcome.cycles, trap_cause=outcome.trap_cause)
-        # Grouped second pass: one scalar re-walk per rewritten fetch.
-        # Every lane in a group consumed its one-shot fault at the same
-        # fetch with the same corrupted word, from golden state, so
-        # their trajectories are byte-identical — the representative's
-        # classification (outcome, detail, cycle count) IS each
-        # member's, only the fault column differs.
-        for members in rewalk.values():
-            shared = self.run_one(members[0][1])
-            stats["rewalk_groups"] += 1
-            for position, fault in members:
-                results[position] = InjectionResult(
-                    fault, shared.outcome, shared.detail, shared.cycles,
-                    trap_cause=shared.trap_cause)
-                stats["rewalk_lanes"] += 1
-                stats["rewalk_lane_cycles"] += shared.cycles
+                        result = self.run_one(fault)
+                        stats["rewalk_lane_cycles"] += result.cycles
+                    else:
+                        result = InjectionResult(
+                            fault, Outcome(outcome.outcome),
+                            outcome.detail, outcome.cycles,
+                            trap_cause=outcome.trap_cause)
+                    results[start + offset] = result
         for position, fault in enumerate(faults):
             if results[position] is None:
                 results[position] = self.run_one(fault)

@@ -253,20 +253,7 @@ def _execute_campaign(spec: JobSpec) -> Tuple[Payload, Payload]:
         "checker_memo": _CHECKER_MEMO.stats(),
     }
     if vstats is not None:
-        meta.update({
-            "vector_faults": vstats["vector_faults"],
-            "vector_scalar_faults": vstats["scalar_faults"],
-            "vector_cuts": vstats["cuts"],
-            "vector_jumps": vstats["jumps"],
-            "lanes_retired": dict(vstats["retired"]),
-            "vector_lane_cycles": vstats["lane_cycles"],
-            "vector_lane_capacity": vstats["lane_capacity"],
-            "vector_wasted_cycles": vstats["wasted_lane_cycles"],
-            "rewalk_lanes": vstats["rewalk_lanes"],
-            "rewalk_groups": vstats["rewalk_groups"],
-            "rewalk_lane_cycles": vstats["rewalk_lane_cycles"],
-            "engine_downgrade_reason": vstats["engine_downgrade_reason"],
-        })
+        meta.update(vstats)
     return payload, meta
 
 
@@ -276,7 +263,6 @@ _BENCH_ENGINE_SETS = {
     "auto": ("instrumented", "fast", "trace"),
     "both": ("instrumented", "fast"),
     "reference": ("instrumented",),
-    "instrumented": ("instrumented",),
     "fast": ("fast",),
     "trace": ("trace",),
 }
