@@ -144,7 +144,7 @@ class EpicProcessor:
         #: ("" while undetermined or when the fast path is available).
         self.fastpath_reject_reason = ""
         #: Which engine the most recent :meth:`run` actually used
-        #: ("instrumented", "fast" or "trace"; "" before any run).
+        #: ("reference", "fast" or "trace"; "" before any run).
         self.last_engine = ""
         #: Trace-engine tuning: bundle-entry count at a taken-branch
         #: target before a superblock is compiled, and the maximum
@@ -201,9 +201,8 @@ class EpicProcessor:
           (:mod:`repro.core.fastpath`) whenever no tracer, no fault
           injector, no strict-NUAL checking and the ``halt`` trap
           policy are in effect, the instrumented loop otherwise;
-        * ``"reference"`` (alias ``"instrumented"``) forces the
-          instrumented loop — the behavioural reference for
-          differential testing;
+        * ``"reference"`` forces the instrumented loop — the
+          behavioural reference for differential testing;
         * ``"fast"`` demands the bundle-specialised engine and raises
           :class:`~repro.errors.SimulationError` (citing
           ``fastpath_reject_reason``) if it cannot honour the
@@ -227,12 +226,10 @@ class EpicProcessor:
         exceptions fire at the same cycle either way.  A run that halts
         before reaching ``until_cycle`` returns normally.
         """
-        if engine == "instrumented":
-            engine = "reference"
         if engine not in ("auto", "fast", "trace", "reference"):
             raise SimulationError(
                 f"unknown engine {engine!r}: expected one of auto, fast, "
-                "trace, reference (alias instrumented)"
+                "trace, reference"
             )
         eligible = (trace is None and self.injector is None
                     and not self.strict_nual
@@ -282,7 +279,7 @@ class EpicProcessor:
                     "fast path requested but the loaded program cannot be "
                     f"specialised: {self.fastpath_reject_reason}"
                 )
-        self.last_engine = "instrumented"
+        self.last_engine = "reference"
         return self._run_instrumented(max_cycles=max_cycles, trace=trace,
                                       watchdog_cycles=watchdog_cycles,
                                       until_cycle=until_cycle,

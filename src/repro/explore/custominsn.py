@@ -121,11 +121,6 @@ class FusionCandidate:
     dynamic_count: int
     static_count: int
 
-    @property
-    def saved_ops(self) -> int:
-        """Each fusion removes one dynamic operation (and issue slot)."""
-        return self.dynamic_count
-
 
 def profile_module(module: Module, entry: str = "main",
                    mem_words: int = 1 << 16) -> Counter:

@@ -20,7 +20,7 @@ from repro.harness.report import paper_comparison, PaperClaim
 from repro.harness.faultcampaign import (
     CampaignReport,
     generate_faults,
-    measure_vector_throughput,
+    measure_speedup,
     render_vulnerability_table,
     run_campaign,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "run_on_epic",
     "CampaignReport",
     "generate_faults",
-    "measure_vector_throughput",
+    "measure_speedup",
     "render_vulnerability_table",
     "run_campaign",
     "Table1",

@@ -19,10 +19,10 @@ from repro.errors import ReproError
 from repro.fpga import estimate_resources
 from repro.harness.cli import quick_specs
 from repro.harness.faultcampaign import (
+    AB_GATES,
     DEFAULT_SPACES,
     campaign_payload,
-    measure_campaign_throughput,
-    measure_vector_throughput,
+    measure_speedup,
     render_vulnerability_table,
     run_campaign,
 )
@@ -128,28 +128,26 @@ def main(argv=None) -> int:
               "cannot hold state 0)", file=sys.stderr)
         return 2
 
+    if arguments.gate_checkpoint_speedup is not None \
+            and arguments.gate_vector_speedup is not None:
+        print("repro-faults: pick one gate (--gate-vector-speedup or "
+              "--gate-checkpoint-speedup)", file=sys.stderr)
+        return 2
+    gate_name = gate_value = None
     if arguments.gate_checkpoint_speedup is not None:
+        gate_name, gate_value = ("checkpoint",
+                                 arguments.gate_checkpoint_speedup)
+    elif arguments.gate_vector_speedup is not None:
+        gate_name, gate_value = "vector", arguments.gate_vector_speedup
+    if gate_name is not None:
+        flag = f"--gate-{gate_name}-speedup"
         if arguments.jobs > 1:
-            print("repro-faults: --gate-checkpoint-speedup measures the "
-                  "serial path; drop --jobs", file=sys.stderr)
+            print(f"repro-faults: {flag} measures the serial path; drop "
+                  f"--jobs", file=sys.stderr)
             return 2
         if arguments.no_checkpoints:
-            print("repro-faults: --gate-checkpoint-speedup and "
-                  "--no-checkpoints are contradictory", file=sys.stderr)
-            return 2
-    if arguments.gate_vector_speedup is not None:
-        if arguments.gate_checkpoint_speedup is not None:
-            print("repro-faults: pick one gate (--gate-vector-speedup or "
-                  "--gate-checkpoint-speedup)", file=sys.stderr)
-            return 2
-        if arguments.jobs > 1:
-            print("repro-faults: --gate-vector-speedup measures the "
-                  "serial path; drop --jobs", file=sys.stderr)
-            return 2
-        if arguments.no_checkpoints:
-            print("repro-faults: --gate-vector-speedup compares against "
-                  "the checkpointed baseline; drop --no-checkpoints",
-                  file=sys.stderr)
+            print(f"repro-faults: {flag} times a checkpointed pass; drop "
+                  f"--no-checkpoints", file=sys.stderr)
             return 2
         if arguments.gate_repeat < 1:
             print("repro-faults: --gate-repeat must be >= 1",
@@ -216,53 +214,33 @@ def main(argv=None) -> int:
                     memory_protection=arguments.protect_memory,
                 )
                 injections_done[0] = 0
-                if arguments.gate_checkpoint_speedup is not None:
-                    report, timing = measure_campaign_throughput(
-                        spec, config, arguments.n, arguments.seed,
+                if gate_name is not None:
+                    report, timing = measure_speedup(
+                        gate_name, spec, config, arguments.n,
+                        arguments.seed,
                         spaces=arguments.spaces,
                         watchdog_factor=arguments.watchdog,
                         checkpoint_interval=arguments.checkpoint_interval,
                         checkpoint_store=store,
+                        repeat=(arguments.gate_repeat
+                                if gate_name == "vector" else 1),
                     )
-                    timings.append(timing)
-                    gate = arguments.gate_checkpoint_speedup
-                    verdict = "ok" if timing["speedup"] >= gate else "FAIL"
+                    (baseline, _, _), (measured, _, _) = \
+                        AB_GATES[gate_name]
+                    verdict = ("ok" if timing["speedup"] >= gate_value
+                               else "FAIL")
                     if verdict == "FAIL":
                         gate_failures.append(timing)
                     print(f"  {report.workload} {report.machine}: "
-                          f"checkpointed "
-                          f"{timing['checkpointed']['faults_per_s']:.1f} "
-                          f"faults/s vs from-zero "
-                          f"{timing['from_zero']['faults_per_s']:.1f} — "
+                          f"{measured} {timing['faults_per_s']:.1f} "
+                          f"faults/s vs {baseline} "
+                          f"{timing['baseline']['faults_per_s']:.1f} — "
                           f"speedup {timing['speedup']:.2f}x "
-                          f"(gate {gate:.1f}x): {verdict}",
-                          file=sys.stderr)
-                elif arguments.gate_vector_speedup is not None:
-                    report, timing = measure_vector_throughput(
-                        spec, config, arguments.n, arguments.seed,
-                        spaces=arguments.spaces,
-                        watchdog_factor=arguments.watchdog,
-                        checkpoint_interval=arguments.checkpoint_interval,
-                        checkpoint_store=store,
-                        repeat=arguments.gate_repeat,
-                    )
-                    timings.append(timing)
-                    gate = arguments.gate_vector_speedup
-                    verdict = "ok" if timing["speedup"] >= gate else "FAIL"
-                    if verdict == "FAIL":
-                        gate_failures.append(timing)
-                    print(f"  {report.workload} {report.machine}: "
-                          f"vector "
-                          f"{timing['vector']['faults_per_s']:.1f} "
-                          f"faults/s vs scalar checkpointed "
-                          f"{timing['scalar']['faults_per_s']:.1f} — "
-                          f"speedup {timing['speedup']:.2f}x "
-                          f"(gate {gate:.1f}x): {verdict}",
+                          f"(gate {gate_value:.1f}x): {verdict}",
                           file=sys.stderr)
                     if arguments.gate_retired_fraction is not None:
-                        retired_fraction = (
-                            timing["vector"]["scalar_faults"]
-                            / arguments.n)
+                        retired_fraction = (timing["scalar_faults"]
+                                            / arguments.n)
                         timing["retired_fraction"] = retired_fraction
                         limit = arguments.gate_retired_fraction
                         verdict = ("ok" if retired_fraction < limit
@@ -270,7 +248,7 @@ def main(argv=None) -> int:
                         if verdict == "FAIL":
                             gate_failures.append(timing)
                         print(f"  {report.workload} {report.machine}: "
-                              f"{timing['vector']['scalar_faults']}/"
+                              f"{timing['scalar_faults']}/"
                               f"{arguments.n} lanes retired to scalar "
                               f"({retired_fraction:.1%}, gate "
                               f"<{limit:.0%}): {verdict}",
@@ -290,34 +268,33 @@ def main(argv=None) -> int:
                         checkpoint_store=store,
                         engine=arguments.engine,
                     )
-                    if report.timing is not None:
-                        timing = dict(report.timing)
-                        timing.update(workload=report.workload,
-                                      machine=report.machine,
-                                      n=report.n, seed=report.seed)
-                        timings.append(timing)
-                        print(f"  {report.workload} {report.machine}: "
-                              f"{timing['faults_per_s']:.1f} faults/s "
-                              f"({timing['prefix_cycles_skipped']} prefix "
-                              f"cycles skipped, "
-                              f"{timing['convergence_cuts']} convergence "
-                              f"cuts)", file=sys.stderr)
-                        if "vector_occupancy" in timing:
-                            print(f"    vector: "
-                                  f"{timing['vector_faults']} lanes, "
-                                  f"{timing['rewalk_lanes']} re-walked, "
-                                  f"{timing['scalar_faults']} retired to "
-                                  f"scalar, occupancy "
-                                  f"{timing['vector_occupancy']:.2f} "
-                                  f"(+{timing['wasted_retired_cycles']:.2f} "
-                                  f"wasted)",
-                                  file=sys.stderr)
-                        if arguments.verbose and timing.get(
-                                "engine_downgrade_reason"):
-                            print(f"    vector engine downgraded to "
-                                  f"scalar: "
-                                  f"{timing['engine_downgrade_reason']}",
-                                  file=sys.stderr)
+                    timing = dict(report.timing)
+                    timing.update(workload=report.workload,
+                                  machine=report.machine,
+                                  n=report.n, seed=report.seed)
+                    print(f"  {report.workload} {report.machine}: "
+                          f"{timing['faults_per_s']:.1f} faults/s "
+                          f"({timing['ff_cycles_skipped']} prefix "
+                          f"cycles skipped, "
+                          f"{timing['ff_convergence_cuts']} convergence "
+                          f"cuts)", file=sys.stderr)
+                    if "vector_occupancy" in timing:
+                        print(f"    vector: "
+                              f"{timing['vector_faults']} lanes, "
+                              f"{timing['rewalk_lanes']} re-walked, "
+                              f"{timing['scalar_faults']} retired to "
+                              f"scalar, occupancy "
+                              f"{timing['vector_occupancy']:.2f} "
+                              f"(+{timing['wasted_retired_cycles']:.2f} "
+                              f"wasted)",
+                              file=sys.stderr)
+                    if arguments.verbose and timing.get(
+                            "engine_downgrade_reason"):
+                        print(f"    vector engine downgraded to "
+                              f"scalar: "
+                              f"{timing['engine_downgrade_reason']}",
+                              file=sys.stderr)
+                timings.append(timing)
                 reports.append(report)
                 estimate = estimate_resources(config)
                 resources.append({
@@ -332,11 +309,6 @@ def main(argv=None) -> int:
         if executor is not None:
             executor.close()
 
-    gate_value = arguments.gate_checkpoint_speedup \
-        if arguments.gate_checkpoint_speedup is not None \
-        else arguments.gate_vector_speedup
-    gate_name = "checkpoint" if arguments.gate_checkpoint_speedup \
-        is not None else "vector"
     if arguments.timing_out:
         with open(arguments.timing_out, "w", encoding="utf-8") as handle:
             json.dump({
@@ -346,23 +318,15 @@ def main(argv=None) -> int:
             }, handle, indent=2)
             handle.write("\n")
     if arguments.retirement_out:
-        retirements = []
-        for timing in timings:
-            # Gate timings nest the vector pass under "vector"; plain
-            # --engine vector runs carry the keys at the top level.
-            source = timing.get("vector", timing)
-            if "lanes_retired" not in source:
-                continue
-            retirements.append({
-                "workload": timing.get("workload"),
-                "machine": timing.get("machine"),
-                "lanes_retired": source["lanes_retired"],
-                "scalar_faults": source["scalar_faults"],
-                "rewalk_lanes": source.get("rewalk_lanes", 0),
-                "retired_fraction": source["scalar_faults"] / arguments.n,
-                "engine_downgrade_reason":
-                    source.get("engine_downgrade_reason"),
-            })
+        retirements = [{
+            "workload": timing["workload"],
+            "machine": timing["machine"],
+            "retired": timing["retired"],
+            "scalar_faults": timing["scalar_faults"],
+            "rewalk_lanes": timing["rewalk_lanes"],
+            "retired_fraction": timing["scalar_faults"] / arguments.n,
+            "engine_downgrade_reason": timing["engine_downgrade_reason"],
+        } for timing in timings if "retired" in timing]
         with open(arguments.retirement_out, "w",
                   encoding="utf-8") as handle:
             json.dump({

@@ -65,9 +65,6 @@ class Function:
             raise IRError(f"function {self.name!r} has no blocks")
         return self.blocks[0]
 
-    def block_names(self) -> List[str]:
-        return [block.name for block in self.blocks]
-
     def predecessors(self) -> Dict[str, List[str]]:
         preds: Dict[str, List[str]] = {block.name: [] for block in self.blocks}
         for block in self.blocks:

@@ -9,7 +9,7 @@ addresses bundles; branch targets are bundle indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instruction import Instruction, nop
@@ -47,10 +47,6 @@ class Bundle:
 
     def __str__(self) -> str:
         return " ;; ".join(str(instr) for instr in self.slots)
-
-
-def make_bundle(instrs: Sequence[Instruction]) -> Bundle:
-    return Bundle(tuple(instrs))
 
 
 @dataclass

@@ -61,7 +61,7 @@ from repro.workloads import WORKLOADS, WorkloadSpec
 DEFAULT_OUT = "BENCH_table1.json"
 
 #: Engines a bench cell can run, in reporting order.
-BENCH_ENGINES = ("instrumented", "fast", "trace")
+BENCH_ENGINES = ("reference", "fast", "trace")
 
 
 def stats_fingerprint(stats: SimStats) -> Dict[str, object]:
@@ -197,15 +197,15 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
     prints: Dict[str, Dict[str, object]] = {}
     ilp = None
 
-    if "instrumented" in engines:
+    if "reference" in engines:
         slow = EpicProcessor(config, compilation.program,
                              mem_words=spec.mem_words)
-        with timer.phase("simulate-instrumented"):
-            results["instrumented"] = slow.run(
+        with timer.phase("simulate-reference"):
+            results["reference"] = slow.run(
                 max_cycles=max_cycles, engine="reference")
-        _engine_guard(spec, machine_name, slow, "instrumented")
+        _engine_guard(spec, machine_name, slow, "reference")
         _validated(spec, machine_name, slow, compilation.symbols)
-        prints["instrumented"] = stats_fingerprint(slow.stats)
+        prints["reference"] = stats_fingerprint(slow.stats)
         ilp = slow.stats.ilp
 
     if "fast" in engines:
@@ -283,7 +283,7 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
 
     cycles = results[reference_engine].cycles
     seconds = timer.seconds
-    slow_s = seconds.get("simulate-instrumented")
+    slow_s = seconds.get("simulate-reference")
     fast_s = seconds.get("simulate-fast")
     trace_s = seconds.get("simulate-trace")
 
@@ -310,14 +310,14 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
         "specialise_seconds": seconds.get("specialise"),
         "trace_compile_seconds": seconds.get("trace-compile"),
         "cold_seconds": cold_s,
-        "instrumented_seconds": slow_s,
+        "reference_seconds": slow_s,
         "fast_seconds": fast_s,
         "trace_seconds": trace_s,
         "speedup": ratio(slow_s, fast_s),
         "trace_speedup": ratio(slow_s, trace_s),
         "trace_vs_fast_speedup": ratio(fast_s, trace_s),
         "fast_kcycles_per_host_second": rate(fast_s),
-        "instrumented_kcycles_per_host_second": rate(slow_s),
+        "reference_kcycles_per_host_second": rate(slow_s),
         "trace_kcycles_per_host_second": rate(trace_s),
     }
 
@@ -326,10 +326,10 @@ def bench_cell(spec: WorkloadSpec, n_alus: int,
 #: part of the determinism contract).
 TIMING_FIELDS = (
     "compile_seconds", "specialise_seconds", "trace_compile_seconds",
-    "cold_seconds", "instrumented_seconds", "fast_seconds", "trace_seconds",
+    "cold_seconds", "reference_seconds", "fast_seconds", "trace_seconds",
     "speedup", "trace_speedup", "trace_vs_fast_speedup",
     "fast_kcycles_per_host_second",
-    "instrumented_kcycles_per_host_second",
+    "reference_kcycles_per_host_second",
     "trace_kcycles_per_host_second",
 )
 
@@ -339,13 +339,11 @@ def _job_engine(engines: Sequence[str]) -> str:
     selected = tuple(name for name in BENCH_ENGINES if name in engines)
     if selected == BENCH_ENGINES:
         return "all"
-    if selected == ("instrumented", "fast"):
-        return "both"
     if len(selected) == 1:
-        return {"instrumented": "reference"}.get(selected[0], selected[0])
+        return selected[0]
     raise SimulationError(
         f"engine selection {selected!r} has no served spelling: use a "
-        "single engine, ('instrumented', 'fast'), or all three"
+        "single engine or all three"
     )
 
 
@@ -423,8 +421,8 @@ def run_bench(specs: Sequence[WorkloadSpec],
 
     timed = [run for run in runs
              if run.get("fast_seconds") is not None
-             and run.get("instrumented_seconds") is not None]
-    total_slow = sum(run["instrumented_seconds"] for run in timed)
+             and run.get("reference_seconds") is not None]
+    total_slow = sum(run["reference_seconds"] for run in timed)
     total_fast = sum(run["fast_seconds"] for run in timed)
     speedups = [run["speedup"] for run in timed]
     traced = [run for run in runs
@@ -443,7 +441,7 @@ def run_bench(specs: Sequence[WorkloadSpec],
         "engines": [name for name in BENCH_ENGINES if name in engines],
         "runs": runs,
         "summary": {
-            "total_instrumented_seconds": total_slow,
+            "total_reference_seconds": total_slow,
             "total_fast_seconds": total_fast,
             "total_trace_seconds": total_trace,
             "total_cold_seconds": total_cold,
@@ -542,12 +540,12 @@ def _column(value, width: int, suffix: str = "") -> str:
 def render_report(payload: Dict[str, object]) -> str:
     header = (
         f"{'benchmark':<10} {'machine':<11} {'cycles':>10} "
-        f"{'slow ms':>9} {'fast ms':>9} {'trace ms':>9} "
+        f"{'ref ms':>9} {'fast ms':>9} {'trace ms':>9} "
         f"{'speedup':>8} {'tr/fast':>8} {'kcyc/s':>9}"
     )
     lines = [header]
     for run in payload["runs"]:
-        timings = ("instrumented_seconds", "fast_seconds", "trace_seconds")
+        timings = ("reference_seconds", "fast_seconds", "trace_seconds")
         if all(run.get(field) is None for field in timings):
             lines.append(
                 f"{run['benchmark']:<10} {run['machine']:<11} "
@@ -562,7 +560,7 @@ def render_report(payload: Dict[str, object]) -> str:
         if rate is None:
             rate = run.get("fast_kcycles_per_host_second")
         if rate is None:
-            rate = run.get("instrumented_kcycles_per_host_second")
+            rate = run.get("reference_kcycles_per_host_second")
         lines.append(
             f"{run['benchmark']:<10} {run['machine']:<11} "
             f"{run['cycles']:>10} "
@@ -608,7 +606,7 @@ def main(argv=None) -> int:
                         help="fail if simulated cycle counts drift from "
                              "this golden JSON file")
     parser.add_argument("--engine",
-                        choices=["instrumented", "fast", "trace", "all"],
+                        choices=["reference", "fast", "trace", "all"],
                         default="all",
                         help="execution engines to benchmark "
                              "(default: all)")

@@ -135,8 +135,6 @@ class LockstepChecker:
         self._campaign_cpu = None
         self._vector = None
         self._ifetch_fmt = None
-        #: Cumulative vector-batch telemetry (see :meth:`run_batch`).
-        self.vector_stats: Dict[str, object] = {}
         #: Fast-forward telemetry, cumulative over :meth:`run_one` calls.
         self.ff_restores = 0
         self.ff_cycles_skipped = 0
@@ -307,8 +305,7 @@ class LockstepChecker:
         (:mod:`repro.core.vector`); every lane the engine cannot
         classify *exactly* retires to :meth:`run_one`, so the returned
         results — in input order — are byte-identical to a pure-scalar
-        campaign.  Returns ``(results, stats)``; cumulative stats are
-        also kept on :attr:`vector_stats`.
+        campaign.  Returns ``(results, stats)``.
 
         Instruction-fetch faults that deterministically rewrite the
         program, and that the walk could not absorb in-lane, come back
@@ -376,7 +373,6 @@ class LockstepChecker:
             if results[position] is None:
                 results[position] = self.run_one(fault)
                 stats["scalar_faults"] += 1
-        self.vector_stats = stats
         return results, stats
 
     # -- classification ----------------------------------------------------

@@ -20,7 +20,7 @@ outcome tables byte-identical and (optionally) a minimum warm-vs-fresh
 speedup — the CI gate for the warm fabric.
 
 ``batch`` writes a batch file describing one job per (benchmark,
-machine) cell — sweep evaluations, fault campaigns or dual-engine
+machine) cell — sweep evaluations, fault campaigns or multi-engine
 bench cells.  ``run`` executes a batch (optionally in parallel and/or
 against a result cache) and writes a report with per-job outcomes,
 throughput, and cache statistics.  ``warm`` is ``run`` whose sole

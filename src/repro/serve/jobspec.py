@@ -39,8 +39,9 @@ from repro.workloads import WORKLOADS, WorkloadSpec, XorShift32
 #: Version of the JobSpec canonical schema; hashed into every digest,
 #: so bumping it invalidates result caches built under the old schema.
 #: v2 added ``cycle_limit_ok`` to sweep jobs (budget-truncated runs
-#: surface as structured payloads instead of errors).
-SPEC_VERSION = 2
+#: surface as structured payloads instead of errors); v3 dropped the
+#: ``both`` bench engine.
+SPEC_VERSION = 3
 
 #: Version of the batch-file envelope written by :func:`dump_batch`.
 BATCH_VERSION = 1
@@ -57,12 +58,10 @@ JOB_KINDS = (KIND_SWEEP, KIND_CAMPAIGN, KIND_BENCH, KIND_PROBE)
 #: Execution engines a job may request (see ``EpicProcessor.run``):
 #: ``auto`` lets the simulator pick the fast path when eligible,
 #: ``fast`` / ``reference`` / ``trace`` force one engine, and the bench
-#: combinations ``both`` (instrumented + fast) and ``all``
-#: (instrumented + fast + trace) run several engines and cross-check
-#: them.  Campaign jobs additionally accept ``vector``: the batched
-#: lane engine (:mod:`repro.core.vector`), byte-identical to the
-#: scalar checker.
-ENGINES = ("auto", "fast", "reference", "trace", "both", "all", "vector")
+#: engine ``all`` runs all three and cross-checks them.  Campaign jobs
+#: additionally accept ``vector``: the batched lane engine
+#: (:mod:`repro.core.vector`), byte-identical to the scalar checker.
+ENGINES = ("auto", "fast", "reference", "trace", "all", "vector")
 
 #: Probe behaviours understood by the worker.  ``stubborn`` ignores
 #: SIGTERM and hangs — the acceptance probe for the executors'
@@ -382,8 +381,7 @@ def bench_job(spec: WorkloadSpec, config: MachineConfig,
     """A multi-engine bench cell job (exactness re-checked in-worker).
 
     ``engine`` selects the engines the cell times: ``all`` (default,
-    instrumented + fast + trace), the legacy ``both`` (instrumented +
-    fast), or a single engine name.
+    reference + fast + trace) or a single engine name.
     """
     return JobSpec(kind=KIND_BENCH, workload=spec.name,
                    workload_args=tuple(spec.instance_args), config=config,

@@ -653,7 +653,10 @@ class SupervisedPool:
                     worker.last_beat = time.monotonic()
                     continue
                 if message is None:
-                    # Incarnation lost (crash, chaos kill, OOM...).
+                    # Incarnation lost (crash, chaos kill, OOM...).  The
+                    # pipe can hit EOF before the process is reaped, while
+                    # its exit code still reads None: join it first.
+                    worker.process.join(self.term_grace)
                     exit_code = worker.process.exitcode
                     assignment = worker.current
                     lose_incarnation(worker)

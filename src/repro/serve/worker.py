@@ -209,24 +209,18 @@ def campaign_checker(spec: JobSpec):
 
 
 def _execute_campaign(spec: JobSpec) -> Tuple[Payload, Payload]:
-    from repro.harness.faultcampaign import generate_faults, result_payload
+    from repro.harness.faultcampaign import (
+        classify_faults, generate_faults, result_payload,
+    )
 
-    started = time.perf_counter()
     memo_hits_before = _CHECKER_MEMO.hits
     checker = campaign_checker(spec)
     memo_hit = _CHECKER_MEMO.hits > memo_hits_before
-    before = checker.fastforward_stats()
     faults = generate_faults(checker, spec.n, spec.seed, spec.spaces)
     stop = spec.n if spec.fault_count < 0 \
         else min(spec.n, spec.fault_offset + spec.fault_count)
-    sliced = faults[spec.fault_offset:stop]
-    vstats = None
-    if spec.engine == "vector":
-        results, vstats = checker.run_batch(sliced)
-        outcomes = [result_payload(result) for result in results]
-    else:
-        outcomes = [result_payload(checker.run_one(fault))
-                    for fault in sliced]
+    results, record = classify_faults(
+        checker, faults[spec.fault_offset:stop], spec.engine)
     payload: Payload = {
         "workload": checker.spec.name,
         "machine": f"EPIC-{spec.config.n_alus}ALU",
@@ -234,47 +228,23 @@ def _execute_campaign(spec: JobSpec) -> Tuple[Payload, Payload]:
         "seed": spec.seed,
         "fault_offset": spec.fault_offset,
         "reference_cycles": checker.reference_cycles,
-        "outcomes": outcomes,
+        "outcomes": [result_payload(result) for result in results],
     }
-    after = checker.fastforward_stats()
-    elapsed = time.perf_counter() - started
-    meta: Payload = {
-        "engine": spec.engine,
-        "elapsed_s": elapsed,
-        "faults_run": len(outcomes),
-        "faults_per_s": len(outcomes) / elapsed if elapsed > 0 else 0.0,
-        "checkpointed": bool(checker.checkpoints),
-        "ff_restores": after["restores"] - before["restores"],
-        "ff_cycles_skipped":
-            after["cycles_skipped"] - before["cycles_skipped"],
-        "ff_convergence_cuts":
-            after["convergence_cuts"] - before["convergence_cuts"],
-        "checker_memo_hit": memo_hit,
-        "checker_memo": _CHECKER_MEMO.stats(),
-    }
-    if vstats is not None:
-        meta.update(vstats)
-    return payload, meta
-
-
-#: JobSpec engine names -> bench_cell engine tuples.
-_BENCH_ENGINE_SETS = {
-    "all": ("instrumented", "fast", "trace"),
-    "auto": ("instrumented", "fast", "trace"),
-    "both": ("instrumented", "fast"),
-    "reference": ("instrumented",),
-    "fast": ("fast",),
-    "trace": ("trace",),
-}
+    # Meta is the shard's classification record plus the memo counters.
+    record.update(checker_memo_hit=memo_hit,
+                  checker_memo=_CHECKER_MEMO.stats())
+    return payload, record
 
 
 def _execute_bench(spec: JobSpec) -> Tuple[Payload, Payload]:
-    from repro.perf.bench import TIMING_FIELDS, bench_cell
+    from repro.perf.bench import BENCH_ENGINES, TIMING_FIELDS, bench_cell
 
     workload = build_workload(spec)
+    # A bench job names one engine, or all of them.
+    engines = BENCH_ENGINES if spec.engine in ("all", "auto") \
+        else (spec.engine,)
     cell = bench_cell(workload, spec.config.n_alus,
-                      max_cycles=spec.max_cycles,
-                      engines=_BENCH_ENGINE_SETS[spec.engine])
+                      max_cycles=spec.max_cycles, engines=engines)
     payload: Payload = {
         "benchmark": cell["benchmark"],
         "machine": cell["machine"],

@@ -28,10 +28,6 @@ class WorkloadSpec:
     #: serialisation hook; empty means "constructor defaults").
     instance_args: Tuple[int, ...] = ()
 
-    @property
-    def output_names(self) -> List[str]:
-        return list(self.expected)
-
 
 class XorShift32:
     """Deterministic 32-bit xorshift PRNG for input generation."""

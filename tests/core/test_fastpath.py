@@ -215,7 +215,7 @@ class TestEligibility:
         small = big.with_changes(n_gprs=32)
         cpu = EpicProcessor(small, program, mem_words=64)
         cpu.run(max_cycles=100)  # auto: quiet fallback
-        assert cpu.last_engine == "instrumented"
+        assert cpu.last_engine == "reference"
         assert "index" in cpu.fastpath_reject_reason
         assert "limit" in cpu.fastpath_reject_reason
         # The reason rides along on the stats summary so a downgraded
@@ -254,7 +254,7 @@ class TestEligibility:
         assert cpu.fastpath_reject_reason == \
             "more than one control operation in a bundle"
         result = cpu.run(max_cycles=100)  # auto: quiet fallback
-        assert cpu.last_engine == "instrumented"
+        assert cpu.last_engine == "reference"
         assert result.cycles > 0
 
     def test_reject_reason_recorded_for_sub_cycle_latency(self):
@@ -272,7 +272,7 @@ class TestEligibility:
             "write-back latency below one cycle"
         assert cpu.stats.fastpath_reject_reason == cpu.fastpath_reject_reason
         cpu.run()  # auto: quiet fallback onto the instrumented loop
-        assert cpu.last_engine == "instrumented"
+        assert cpu.last_engine == "reference"
 
     def test_ineligible_program_falls_back_silently(self):
         # Assemble against a large register file, run on a small one:

@@ -571,7 +571,7 @@ class TestEngineDispatch:
         assert cpu.run(engine="trace").cycles == \
             reference.run(engine="reference").cycles
         assert cpu.last_engine == "trace"
-        assert reference.last_engine == "instrumented"
+        assert reference.last_engine == "reference"
         assert cpu._tracesim.trace_count > 0
 
     def test_trace_refused_when_fast_path_is(self):

@@ -221,6 +221,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[1/3]" in err and "[3/3]" in err
 
+    def test_gate_and_plain_runs_write_one_record_shape(self, tmp_path,
+                                                        capsys):
+        base = ["--bench", "SHA", "--quick", "--n", "4", "--seed", "1"]
+        timing_out = tmp_path / "timing.json"
+        retirement_out = tmp_path / "retirement.json"
+        assert faults_main(base + [
+            "--gate-vector-speedup", "0", "--gate-repeat", "1",
+            "--timing-out", str(timing_out),
+            "--retirement-out", str(retirement_out)]) == 0
+        gated = json.loads(timing_out.read_text())["timings"][0]
+        retired = json.loads(retirement_out.read_text())["campaigns"][0]
+        assert faults_main(base + ["--engine", "vector", "--timing-out",
+                                   str(timing_out)]) == 0
+        plain = json.loads(timing_out.read_text())["timings"][0]
+        capsys.readouterr()
+        # A gate entry is the measured pass's flat record plus the A/B.
+        assert set(gated) - {"baseline", "speedup"} == set(plain)
+        assert gated["engine"] == plain["engine"] == "vector"
+        assert gated["baseline"]["engine"] == "auto"
+        assert retired["retired"] == gated["retired"]
+        assert retired["scalar_faults"] == gated["scalar_faults"]
+
     def test_parallel_jobs_output_matches_serial(self, capsys):
         argv = ["--bench", "SHA", "--quick", "--n", "4", "--seed", "1",
                 "--json"]

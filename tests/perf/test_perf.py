@@ -77,7 +77,7 @@ class TestRunBench:
         (run,) = payload["runs"]
         assert run["machine"] == "EPIC-1ALU"
         assert run["cycles"] > 0
-        assert run["instrumented_seconds"] > 0.0
+        assert run["reference_seconds"] > 0.0
         assert run["fast_seconds"] > 0.0
         assert run["fast_kcycles_per_host_second"] > 0.0
         summary = payload["summary"]
@@ -168,7 +168,7 @@ class TestDeterministicReport:
 class TestTraceEngineBench:
     def test_trace_columns_present_by_default(self, tiny_payload):
         (run,) = tiny_payload["runs"]
-        assert tiny_payload["engines"] == ["instrumented", "fast", "trace"]
+        assert tiny_payload["engines"] == ["reference", "fast", "trace"]
         assert run["trace_seconds"] > 0.0
         assert run["trace_vs_fast_speedup"] > 0.0
         assert run["trace_kcycles_per_host_second"] is not None
@@ -190,7 +190,7 @@ class TestTraceEngineBench:
     def test_single_engine_cell_leaves_other_timings_none(self):
         cell = bench_cell(sha_workload(4, 4), 1, engines=("fast",))
         assert cell["fast_seconds"] > 0.0
-        assert cell["instrumented_seconds"] is None
+        assert cell["reference_seconds"] is None
         assert cell["trace_seconds"] is None
         assert cell["speedup"] is None
         assert cell["trace_vs_fast_speedup"] is None
@@ -255,7 +255,7 @@ class TestCli:
         assert payload["engines"] == ["fast"]
         (run,) = payload["runs"]
         assert run["fast_seconds"] > 0.0
-        assert run["instrumented_seconds"] is None
+        assert run["reference_seconds"] is None
         assert run["trace_seconds"] is None
 
     def test_gate_passes_and_fails(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from repro.harness.cli import quick_specs
 from repro.harness.faultcampaign import (
     campaign_payload,
     generate_faults,
-    measure_vector_throughput,
+    measure_speedup,
     result_payload,
     run_campaign,
 )
@@ -330,19 +330,29 @@ class TestLaneRetirement:
 
 
 class TestThroughputHarness:
-    def test_measure_vector_throughput_shape(self):
-        report, timing = measure_vector_throughput(
-            tiny_spec(), epic_with_alus(2), n=8, seed=5, repeat=2)
+    def test_measure_speedup_vector_shape(self):
+        report, timing = measure_speedup(
+            "vector", tiny_spec(), epic_with_alus(2), n=8, seed=5,
+            repeat=2)
         assert report.classified == 8
-        assert timing["scalar"]["engine"] == "auto"
-        assert timing["vector"]["engine"] == "vector"
+        assert timing["baseline"]["engine"] == "auto"
+        assert timing["engine"] == "vector"
         assert timing["speedup"] > 0
-        assert timing["vector"]["vector_faults"] == 8
+        assert timing["vector_faults"] == 8
+
+    def test_measure_speedup_checkpoint_shape(self):
+        report, timing = measure_speedup(
+            "checkpoint", tiny_spec(), epic_with_alus(2), n=8, seed=5)
+        assert report.classified == 8
+        assert timing["baseline"]["checkpointed"] is False
+        assert timing["checkpointed"] is True
+        assert timing["engine"] == timing["baseline"]["engine"] == "auto"
+        assert timing["speedup"] > 0
 
     def test_repeat_must_be_positive(self):
         with pytest.raises(ValueError, match="repeat"):
-            measure_vector_throughput(tiny_spec(), epic_with_alus(2),
-                                      n=4, seed=5, repeat=0)
+            measure_speedup("vector", tiny_spec(), epic_with_alus(2),
+                            n=4, seed=5, repeat=0)
 
 
 class TestCampaignTelemetry:
@@ -353,10 +363,11 @@ class TestCampaignTelemetry:
         config = epic_with_alus(2)
         checker = LockstepChecker(spec, config)
         checker.prepare_checkpoints()
+        _results, stats = checker.run_batch(generate_faults(checker, 48,
+                                                            13))
         report = run_campaign(spec, config, 48, 13, checker=checker,
                               engine="vector")
         timing = report.timing
-        stats = checker.vector_stats
         capacity = stats["lane_capacity"]
         assert timing["vector_occupancy"] == pytest.approx(
             (stats["lane_cycles"] - stats["wasted_lane_cycles"])
@@ -373,15 +384,34 @@ class TestCampaignTelemetry:
 
     def test_sharded_meta_carries_the_split(self):
         from repro.serve import SerialExecutor
+        from repro.serve.jobspec import campaign_job
+        from repro.serve.worker import execute_spec
 
         spec = quick_specs(["SHA"])[0]
         config = epic_with_alus(2)
-        report = run_campaign(spec, config, 16, 13,
-                              executor=SerialExecutor(),
-                              engine="vector")
-        timing = report.timing
+        serial = run_campaign(spec, config, 16, 13,
+                              engine="vector").timing
+        sharded = run_campaign(spec, config, 16, 13,
+                               executor=SerialExecutor(), shards=3,
+                               engine="vector").timing
+        # One record schema, whether one record or three were merged.
+        assert set(sharded) == set(serial)
         for key in ("vector_occupancy", "wasted_retired_cycles",
                     "rewalk_lanes", "rewalk_lane_cycles",
                     "engine_downgrade_reason"):
-            assert key in timing
-        assert timing["engine_downgrade_reason"] is None
+            assert key in sharded
+        assert sharded["engine_downgrade_reason"] is None
+        # Counters that do not depend on how the faults were split.
+        for key in ("engine", "faults_run", "checkpointed",
+                    "vector_faults", "scalar_faults", "classified",
+                    "rewalk_lanes", "rewalk_lane_cycles", "retired",
+                    "engine_downgrade_reason"):
+            assert sharded[key] == serial[key], key
+        assert serial["faults_run"] == 16
+        # A worker's meta is its record plus the checker-memo keys.
+        _payload, meta = execute_spec(
+            campaign_job(spec, config, 16, 13, engine="vector"))
+        derived = {"vector_occupancy", "wasted_retired_cycles"}
+        assert set(serial) - derived <= set(meta)
+        assert set(meta) - set(serial) == {"checker_memo_hit",
+                                           "checker_memo"}

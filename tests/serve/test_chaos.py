@@ -153,9 +153,12 @@ class TestDifferentialGate:
         log = ChaosLog()
         specs = chaos_smoke_jobs(alus=(1,), campaign_n=4,
                                  campaign_shards=2, seed=1)
+        # Chaos draws key on job digests, which change with the spec
+        # schema version: under v3, seed 7 corrupts all five records
+        # and leaves the replay nothing to hit.
         report = self.run_bounded(
             lambda: run_chaos_differential(
-                specs, str(tmp_path / "cache"), seed=7,
+                specs, str(tmp_path / "cache"), seed=8,
                 kill_rate=0.5, hang_rate=0.25, corrupt_rate=0.5,
                 heartbeat=0.05, watchdog=1.0, log=log),
             max_seconds=180)

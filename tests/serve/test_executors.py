@@ -78,6 +78,62 @@ class TestFreshWorkerPool:
         assert outcome.attempts == 3  # first try + 2 retries
         assert "exit code 13" in outcome.error
 
+    def test_exit_code_read_after_the_reap(self, monkeypatch):
+        # The pipe can report EOF before the dead worker is reaped, when
+        # its exit code still reads None.  A fake incarnation whose exit
+        # code appears only once it is joined pins that ordering down
+        # without racing a real process.
+        import multiprocessing
+        import time
+
+        from repro.serve.supervisor import _WarmWorker
+
+        class UnreapedProcess:
+            joined = False
+
+            @property
+            def exitcode(self):
+                return 13 if self.joined else None
+
+            def join(self, timeout=None):
+                self.joined = True
+
+            def is_alive(self):
+                return not self.joined
+
+        class HangUpOnJob:
+            """A parent pipe end whose worker hangs up on its first job."""
+
+            def __init__(self):
+                self.conn, self.peer = multiprocessing.Pipe(duplex=True)
+
+            def send(self, message):
+                self.conn.send(message)
+                self.peer.close()
+
+            def recv(self):
+                return self.conn.recv()
+
+            def fileno(self):
+                return self.conn.fileno()
+
+            def close(self):
+                self.conn.close()
+
+        pool = fresh_pool(jobs=1, retries=0)
+
+        def spawn():
+            conn = HangUpOnJob()
+            worker = _WarmWorker(1, UnreapedProcess(), conn,
+                                 time.monotonic())
+            pool._warm_workers[conn] = worker
+            return worker
+
+        monkeypatch.setattr(pool, "_spawn_warm", spawn)
+        outcome = pool.run([probe("crash")])[0]
+        assert outcome.status == "crashed"
+        assert "exit code 13" in outcome.error
+
     def test_zero_retries_honoured(self):
         outcome = fresh_pool(jobs=1, retries=0).run([probe("crash")])[0]
         assert outcome.status == "crashed"

@@ -105,12 +105,15 @@ class TestValidation:
         config = epic_config()
         assert sweep_job(spec, config, engine="trace").engine == "trace"
         assert bench_job(spec, config).engine == "all"
-        assert bench_job(spec, config, engine="both").engine == "both"
+        assert bench_job(spec, config,
+                         engine="reference").engine == "reference"
         digests = {
             bench_job(spec, config, engine=name).digest()
-            for name in ("all", "both", "trace", "fast")
+            for name in ("all", "reference", "trace", "fast")
         }
         assert len(digests) == 4  # the engine is part of the job identity
+        with pytest.raises(ServeError, match="unknown engine"):
+            bench_job(spec, config, engine="both")
 
     def test_missing_config_rejected(self):
         with pytest.raises(ServeError, match="config"):

@@ -42,9 +42,10 @@ class TestCheckerMemo:
         assert payload["workload"] == "SHA"
         assert len(payload["outcomes"]) == 2
         assert meta["faults_run"] == 2
-        for key in ("elapsed_s", "faults_per_s", "checkpointed",
+        for key in ("engine", "elapsed_s", "faults_per_s", "checkpointed",
                     "ff_restores", "ff_cycles_skipped",
-                    "ff_convergence_cuts"):
+                    "ff_convergence_cuts", "checker_memo_hit",
+                    "checker_memo"):
             assert key in meta
 
 
