@@ -33,6 +33,17 @@ drained cycle — ascending ready order, list order preserving issue
 order, exactly the heap's pop order.  Forwarding bookkeeping is a flat
 list indexed by register number.
 
+One code generator and one run loop serve both specialised engines.
+:class:`_Coder` describes each op once — operand reads, write-backs,
+counter bumps, whether it can trap, its control effect — and the
+trace compiler (:mod:`repro.core.tracejit`) subclasses it to emit
+superblocks.  :meth:`FastSim.run` is the trace engine's loop as well:
+given a :class:`~repro.core.tracejit.TraceSim` it also dispatches
+superblocks and profiles taken-branch targets.  A superblock can leave
+write-backs in flight that are due before its exit cycle, so after one
+returns the scan restarts from the earliest pending cycle; only the
+end-of-run drain sorts what is still pending.
+
 Cycle-exactness guarantee
 =========================
 
@@ -62,7 +73,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core import decode as dec
 from repro.errors import (
@@ -83,6 +94,16 @@ _C_MEMW = 5        # memory_writes
 _C_READS = 6       # regfile_reads (ports + forwarded)
 _C_FWD = 7         # regfile_reads_forwarded
 _C_FU0 = 8         # first per-FU-class slot; more appended as discovered
+
+#: Trace-engine slots, at offsets from ``FastSim._t_base`` (the end of
+#: the per-FU slots); they stay zero on runs without traces.
+_T_RFW = 0       # regfile_writes landed inside traces
+_T_PORT = 1      # port stall cycles charged at trace exits
+_T_FETCH = 2     # fetch stall cycles (static, folded per exit)
+_T_BRT = 3       # branches taken at trace exits
+_T_BUB = 4       # branch bubble cycles at trace exits
+_T_BUNDLES = 5   # bundles issued inside traces
+_T_SLOTS = 6
 
 #: Control-transfer kinds — at most one may appear per bundle for the
 #: specialiser's single branch-decision variable to be faithful.
@@ -109,117 +130,22 @@ _CMP_SIGNED = {
     "CMPP_LT": "<", "CMPP_LE": "<=", "CMPP_GT": ">", "CMPP_GE": ">=",
 }
 
+#: Open-coded ALU ops (SHRA, which needs a signed operand, is special).
+_ALU_INLINE = {
+    "ADD": "({a} + {b}) & {mask}",
+    "SUB": "({a} - {b}) & {mask}",
+    "MUL": "({a} * {b}) & {mask}",
+    "AND": "{a} & {b}",
+    "OR": "{a} | {b}",
+    "XOR": "{a} ^ {b}",
+    "ANDCM": "{a} & ~{b}",
+    "SHL": "({a} << ({b} & {shift})) & {mask}",
+    "SHR": "{a} >> ({b} & {shift})",
+}
+
 
 class _Ineligible(Exception):
     """Internal: the program cannot be specialised; use the slow path."""
-
-
-def _src_expr(lit: bool, payload: int, mask: int, used: Set[str],
-              reg_expr=None) -> str:
-    """Expression for one source operand (literal folded, reg indexed).
-
-    ``reg_expr``, if given, maps a register number to the expression
-    reading it — the trace compiler passes a resolver that substitutes
-    promoted Python locals for ``G[n]`` indexing.
-    """
-    if lit:
-        return repr(payload & mask)
-    if reg_expr is not None:
-        return reg_expr(payload)
-    used.add("G")
-    return f"G[{payload}]"
-
-
-def _signed_operand(lit: bool, payload: int, config, used: Set[str],
-                    var: str, reg_expr=None) -> Tuple[List[str], str]:
-    """Prelude lines + expression for a two's-complement source operand."""
-    width = config.datapath_width
-    if lit:
-        return [], repr(to_signed(payload & config.mask, width))
-    if reg_expr is not None:
-        source = reg_expr(payload)
-    else:
-        used.add("G")
-        source = f"G[{payload}]"
-    return [
-        f"{var} = {source}",
-        f"if {var} >= {1 << (width - 1)}:",
-        f"    {var} -= {1 << width}",
-    ], var
-
-
-def _alu_inline(op, config, used: Set[str],
-                reg_expr=None) -> Optional[Tuple[List[str], str]]:
-    """Open-coded expression for a built-in ALU op, if one exists.
-
-    Register values and folded literals are invariantly in
-    ``[0, mask]``, which is what lets the ``to_unsigned`` clamps of
-    :mod:`repro.isa.semantics` reduce to a single ``& mask`` (or vanish
-    for the bitwise ops, whose results cannot leave the range).
-    """
-    mask = config.mask
-    shift_mask = config.datapath_width - 1
-    a = _src_expr(op.s1_lit, op.s1, mask, used, reg_expr)
-    b = _src_expr(op.s2_lit, op.s2, mask, used, reg_expr)
-    mnemonic = op.mnemonic
-    if mnemonic == "ADD":
-        return [], f"({a} + {b}) & {mask}"
-    if mnemonic == "SUB":
-        return [], f"({a} - {b}) & {mask}"
-    if mnemonic == "MUL":
-        return [], f"({a} * {b}) & {mask}"
-    if mnemonic == "AND":
-        return [], f"{a} & {b}"
-    if mnemonic == "OR":
-        return [], f"{a} | {b}"
-    if mnemonic == "XOR":
-        return [], f"{a} ^ {b}"
-    if mnemonic == "ANDCM":
-        return [], f"{a} & ~{b}"
-    if mnemonic == "SHL":
-        return [], f"({a} << ({b} & {shift_mask})) & {mask}"
-    if mnemonic == "SHR":
-        return [], f"{a} >> ({b} & {shift_mask})"
-    if mnemonic == "SHRA":
-        pre, signed_a = _signed_operand(op.s1_lit, op.s1, config, used,
-                                        "_x", reg_expr)
-        return pre, f"({signed_a} >> ({b} & {shift_mask})) & {mask}"
-    return None  # DIV/REM/MIN/MAX stay on the semantics call
-
-
-def _cmp_inline(op, config, used: Set[str],
-                reg_expr=None) -> Optional[Tuple[List[str], str]]:
-    """Open-coded 0/1 expression for a built-in CMPP op, if one exists."""
-    mnemonic = op.mnemonic
-    if mnemonic in _CMP_UNSIGNED:
-        a = _src_expr(op.s1_lit, op.s1, config.mask, used, reg_expr)
-        b = _src_expr(op.s2_lit, op.s2, config.mask, used, reg_expr)
-        return [], f"{a} {_CMP_UNSIGNED[mnemonic]} {b}"
-    if mnemonic in _CMP_SIGNED:
-        pre_a, a = _signed_operand(op.s1_lit, op.s1, config, used,
-                                   "_x", reg_expr)
-        pre_b, b = _signed_operand(op.s2_lit, op.s2, config, used,
-                                   "_y", reg_expr)
-        return pre_a + pre_b, f"{a} {_CMP_SIGNED[mnemonic]} {b}"
-    return None
-
-
-def _push_lines(space: int, index: int, value_expr: str, latency: int,
-                used: Set[str]) -> List[str]:
-    """Schedule ``value_expr`` to land on ``space[index]`` after ``latency``.
-
-    Mirrors the instrumented path's heap push: entries grouped by ready
-    cycle, applied by the drain in ``(ready, issue-order)`` order.
-    """
-    used.add("PD")
-    return [
-        f"_v = {value_expr}",
-        f"_t = cycle + {latency}",
-        "_q = PD.get(_t)",
-        "if _q is None:",
-        "    _q = PD[_t] = []",
-        f"_q.append(({space}, {index}, _v))",
-    ]
 
 
 def _check_index(value: int, limit: int, what: str) -> None:
@@ -228,160 +154,294 @@ def _check_index(value: int, limit: int, what: str) -> None:
                           f"(limit {limit})")
 
 
-def _op_body(op, pc: int, slot: int, config, namespace: Dict[str, object],
-             used: Set[str]) -> Tuple[List[str], bool, List[Tuple[int, int]]]:
-    """Generate the body of one pre-decoded op.
+def _queue_lines(when: str) -> List[str]:
+    """Bind ``_q`` to the pending list of write-backs landing at ``when``.
 
-    Returns ``(lines, is_control, counter_bumps)`` where
-    ``counter_bumps`` lists ``(counts_index, increment)`` pairs the op
-    contributes whenever it executes — emitted as code only under a
-    guard, otherwise folded into the bundle's static visit counts.
-    Raises :class:`_Ineligible` for anything the fast path cannot
-    reproduce bit-exactly.
+    Entries are grouped by ready cycle and applied by the drain in
+    ``(ready, issue-order)`` order, the instrumented path's heap order.
     """
-    kind = op.kind
-    mask = config.mask
-    width = config.datapath_width
-    n_gprs = config.n_gprs
-    n_preds = config.n_preds
-    n_btrs = config.n_btrs
-    for reg in op.gpr_reads:
-        _check_index(reg, n_gprs, "GPR read")
-    _check_index(op.guard, n_preds, "guard predicate")
-    if op.latency < 1 and kind not in _NO_WRITEBACK_KINDS:
-        # The forward-scanning drain only looks at cycles it has not
-        # drained yet; a same-cycle write-back would be missed.
-        raise _Ineligible("write-back latency below one cycle")
+    return [f"_q = PD.get({when})", "if _q is None:",
+            f"    _q = PD[{when}] = []"]
 
-    def addr_lines(var: str) -> List[str]:
+
+class _OpCode(NamedTuple):
+    """One op, described for either engine's code generator to emit.
+
+    ``lines`` read the operands and compute every value (only they can
+    raise the op's trap, and only when ``can_trap``).  ``writes`` are
+    ``(space, dest, latency, value)`` write-backs (space 0 = GPR,
+    1 = predicate, 2 = BTR) whose ``value`` is a literal, a local set
+    by ``lines`` or ``1 - local``.  ``bumps`` are the ``(counts_index,
+    increment)`` pairs an executed op adds.  ``control`` is ``None``,
+    or ``(test, target)`` for a control op: ``test`` is the taken
+    condition (``None``: always) and ``target`` the branch-target read
+    (``None``: HALT).
+    """
+
+    lines: List[str]
+    writes: List[Tuple[int, int, int, str]]
+    bumps: List[Tuple[int, int]]
+    can_trap: bool
+    control: Optional[Tuple[Optional[str], Optional[str]]]
+
+
+class _Coder:
+    """The per-op code generator shared by the bundle and trace compilers.
+
+    Register reads go through :meth:`reg` and values are named by
+    :meth:`new_var`; the trace compiler overrides both, to read
+    promoted Python locals and to keep each value in a fresh local.
+    ``used`` collects the free names the generated code binds.
+    """
+
+    def __init__(self, config, n_words: int):
+        self.config = config
+        self.mask = config.mask
+        self.n_words = n_words
+        self.used: Set[str] = set()
+        #: ``(name, pc, slot)`` of every semantics function called.
+        self.fn_refs: List[Tuple[str, int, int]] = []
+
+    def reg(self, space: int, index: int) -> str:
+        file_name = "GPB"[space]
+        self.used.add(file_name)
+        return f"{file_name}[{index}]"
+
+    def new_var(self) -> str:
+        return "_v"
+
+    def _value(self, lines: List[str], expr: str) -> str:
+        """``expr`` itself if it is a literal, else a local holding it."""
+        if expr.isdigit():
+            return expr
+        var = self.new_var()
+        lines.append(f"{var} = {expr}")
+        return var
+
+    def _src(self, lit: bool, payload: int) -> str:
+        """Source operand: literal folded, register read."""
+        return repr(payload & self.mask) if lit else self.reg(0, payload)
+
+    def _sign(self, var: str) -> List[str]:
+        """Lines reading the datapath word in ``var`` as two's complement."""
+        width = self.config.datapath_width
+        return [f"if {var} >= {1 << (width - 1)}:",
+                f"    {var} -= {1 << width}"]
+
+    def _signed(self, lit: bool, payload: int,
+                var: str) -> Tuple[List[str], str]:
+        """Prelude lines + expression for a two's-complement operand."""
+        if lit:
+            width = self.config.datapath_width
+            return [], repr(to_signed(payload & self.mask, width))
+        return [f"{var} = {self.reg(0, payload)}"] + self._sign(var), var
+
+    def _addr(self, op, var: str) -> List[str]:
         """Effective address: wrap onto the datapath, then sign."""
-        base = _src_expr(op.s1_lit, op.s1, mask, used)
-        offset = _src_expr(op.s2_lit, op.s2, mask, used)
-        return [
-            f"{var} = ({base} + {offset}) & {mask}",
-            f"if {var} >= {1 << (width - 1)}:",
-            f"    {var} -= {1 << width}",
-        ]
+        base = self._src(op.s1_lit, op.s1)
+        offset = self._src(op.s2_lit, op.s2)
+        return ([f"{var} = ({base} + {offset}) & {self.mask}"]
+                + self._sign(var))
 
-    if kind in (dec.K_ALU, dec.K_CUSTOM):
-        _check_index(op.d1, n_gprs, "GPR destination")
-        a = _src_expr(op.s1_lit, op.s1, mask, used)
-        if op.fn is None:  # MOVE: plain copy of src1
-            return _push_lines(0, op.d1, a, op.latency, used), False, []
-        inline = None
-        if kind == dec.K_ALU and op.fn is ALU_SEMANTICS.get(op.mnemonic):
-            inline = _alu_inline(op, config, used)
-        if inline is not None:
-            prelude, expr = inline
-            return prelude + _push_lines(0, op.d1, expr,
-                                         op.latency, used), False, []
-        b = _src_expr(op.s2_lit, op.s2, mask, used)
-        fn_name = f"F{pc}_{slot}"
-        namespace[fn_name] = op.fn
-        used.add(fn_name)
-        third = mask if kind == dec.K_CUSTOM else width
-        return _push_lines(0, op.d1, f"{fn_name}({a}, {b}, {third})",
-                           op.latency, used), False, []
+    def _call(self, op, pc: int, slot: int, third: int) -> str:
+        """A call of the op's semantics function (DIV/REM/MIN/MAX, custom)."""
+        name = f"F{pc}_{slot}"
+        self.used.add(name)
+        self.fn_refs.append((name, pc, slot))
+        a = self._src(op.s1_lit, op.s1)
+        b = self._src(op.s2_lit, op.s2)
+        return f"{name}({a}, {b}, {third})"
 
-    if kind == dec.K_MOVI:
-        _check_index(op.d1, n_gprs, "GPR destination")
-        return _push_lines(0, op.d1, repr(op.s1 & mask),
-                           op.latency, used), False, []
+    def _alu_inline(self, op) -> Optional[Tuple[List[str], str]]:
+        """Open-coded expression for a built-in ALU op, if one exists.
 
-    if kind == dec.K_CMP:
-        _check_index(op.d1, n_preds, "predicate destination")
-        _check_index(op.d2, n_preds, "predicate destination")
-        inline = None
-        if op.fn is CMP_SEMANTICS.get(op.mnemonic):
-            inline = _cmp_inline(op, config, used)
-        if inline is not None:
-            prelude, expr = inline
-            condition = expr
+        Register values and folded literals are invariantly in
+        ``[0, mask]``, which is what lets the ``to_unsigned`` clamps of
+        :mod:`repro.isa.semantics` reduce to a single ``& mask`` (or
+        vanish for the bitwise ops, whose results cannot leave the
+        range).
+        """
+        if op.mnemonic == "SHRA":
+            pre, signed_a = self._signed(op.s1_lit, op.s1, "_x")
+            b = self._src(op.s2_lit, op.s2)
+            shift = self.config.datapath_width - 1
+            return pre, f"({signed_a} >> ({b} & {shift})) & {self.mask}"
+        template = _ALU_INLINE.get(op.mnemonic)
+        if template is None:
+            return None  # DIV/REM/MIN/MAX stay on the semantics call
+        return [], template.format(
+            a=self._src(op.s1_lit, op.s1), b=self._src(op.s2_lit, op.s2),
+            mask=self.mask, shift=self.config.datapath_width - 1)
+
+    def _cmp_inline(self, op) -> Optional[Tuple[List[str], str]]:
+        """Open-coded 0/1 expression for a built-in CMPP op, if one exists."""
+        mnemonic = op.mnemonic
+        if mnemonic in _CMP_UNSIGNED:
+            a = self._src(op.s1_lit, op.s1)
+            b = self._src(op.s2_lit, op.s2)
+            return [], f"{a} {_CMP_UNSIGNED[mnemonic]} {b}"
+        if mnemonic in _CMP_SIGNED:
+            pre_a, a = self._signed(op.s1_lit, op.s1, "_x")
+            pre_b, b = self._signed(op.s2_lit, op.s2, "_y")
+            return pre_a + pre_b, f"{a} {_CMP_SIGNED[mnemonic]} {b}"
+        return None
+
+    def op_code(self, op, pc: int, slot: int) -> _OpCode:
+        """Describe one pre-decoded op (see :class:`_OpCode`).
+
+        Raises :class:`_Ineligible` for anything the specialised engines
+        cannot reproduce bit-exactly.
+        """
+        config = self.config
+        kind = op.kind
+        mask = self.mask
+        width = config.datapath_width
+        n_gprs, n_preds, n_btrs = config.n_gprs, config.n_preds, config.n_btrs
+        for reg in op.gpr_reads:
+            _check_index(reg, n_gprs, "GPR read")
+        _check_index(op.guard, n_preds, "guard predicate")
+        if op.latency < 1 and kind not in _NO_WRITEBACK_KINDS:
+            # The forward-scanning drain only looks at cycles it has not
+            # drained yet; a same-cycle write-back would be missed.
+            raise _Ineligible("write-back latency below one cycle")
+        lines: List[str] = []
+        writes: List[Tuple[int, int, int, str]] = []
+        bumps: List[Tuple[int, int]] = []
+        can_trap = False
+        control = None
+
+        if kind in (dec.K_ALU, dec.K_CUSTOM):
+            _check_index(op.d1, n_gprs, "GPR destination")
+            expr = self._src(op.s1_lit, op.s1)  # MOVE: plain copy of src1
+            if op.fn is not None:
+                inline = None
+                if (kind == dec.K_ALU
+                        and op.fn is ALU_SEMANTICS.get(op.mnemonic)):
+                    inline = self._alu_inline(op)
+                if inline is None:
+                    can_trap = True
+                    third = mask if kind == dec.K_CUSTOM else width
+                    expr = self._call(op, pc, slot, third)
+                else:
+                    prelude, expr = inline
+                    lines += prelude
+            writes.append((0, op.d1, op.latency, self._value(lines, expr)))
+
+        elif kind == dec.K_MOVI:
+            _check_index(op.d1, n_gprs, "GPR destination")
+            writes.append((0, op.d1, op.latency, repr(op.s1 & mask)))
+
+        elif kind == dec.K_CMP:
+            _check_index(op.d1, n_preds, "predicate destination")
+            _check_index(op.d2, n_preds, "predicate destination")
+            inline = None
+            if op.fn is CMP_SEMANTICS.get(op.mnemonic):
+                inline = self._cmp_inline(op)
+            if inline is None:
+                can_trap = True
+                condition = self._call(op, pc, slot, width)
+            else:
+                prelude, condition = inline
+                lines += prelude
+            value = self._value(lines, condition)
+            writes += [(1, op.d1, op.latency, value),
+                       (1, op.d2, op.latency, f"1 - {value}")]
+
+        elif kind in (dec.K_LOAD, dec.K_LOAD_SPEC):
+            _check_index(op.d1, n_gprs, "GPR destination")
+            lines += self._addr(op, "_a")
+            self.used.add("MEM")
+            if kind == dec.K_LOAD_SPEC:
+                miss = "0"  # dismissible load: bad addresses read as zero
+            else:
+                # In-range reads index the word array directly; anything
+                # else goes through DataMemory.read for the OOB trap.
+                self.used.add("MR")
+                can_trap = True
+                miss = "MR(_a)"
+            value = self._value(
+                lines, f"MEM[_a] if 0 <= _a < {self.n_words} else {miss}")
+            writes.append((0, op.d1, op.latency, value))
+            bumps.append((_C_MEMR, 1))
+
+        elif kind == dec.K_STORE:
+            _check_index(op.d1, n_gprs, "store source")
+            self.used.add("MC")
+            can_trap = True
+            lines += self._addr(op, "_ta") + [
+                f"if not 0 <= _ta < {self.n_words}:",
+                "    MC(_ta)",  # raises the OOB store trap
+                "_sa = _ta",
+                f"_sv = {self.reg(0, op.d1)}",
+            ]
+            bumps.append((_C_MEMW, 1))
+
+        elif kind == dec.K_PBR:
+            _check_index(op.d1, n_btrs, "BTR destination")
+            if op.s1 < 0:
+                raise _Ineligible("PBR with negative target")
+            writes.append((2, op.d1, op.latency, repr(op.s1)))
+
+        elif kind == dec.K_MOVGBP:
+            _check_index(op.d1, n_btrs, "BTR destination")
+            value = self._value(lines, self._src(op.s1_lit, op.s1))
+            writes.append((2, op.d1, op.latency, value))
+
+        elif kind in (dec.K_BR, dec.K_BRL):
+            _check_index(op.s1, n_btrs, "branch-target read")
+            control = (None, self.reg(2, op.s1))
+            if kind == dec.K_BRL:
+                _check_index(op.d1, n_gprs, "link destination")
+                writes.append((0, op.d1, op.latency, repr((pc + 1) & mask)))
+            bumps.append((_C_BRANCHES, 1))
+
+        elif kind in (dec.K_BRCT, dec.K_BRCF):
+            _check_index(op.s1, n_btrs, "branch-target read")
+            _check_index(op.s2, n_preds, "branch condition")
+            test = self.reg(1, op.s2)
+            if kind == dec.K_BRCF:
+                test = f"not {test}"
+            control = (test, self.reg(2, op.s1))
+            bumps.append((_C_BRANCHES, 1))
+
+        elif kind == dec.K_HALT:
+            control = (None, None)
+
         else:
-            a = _src_expr(op.s1_lit, op.s1, mask, used)
-            b = _src_expr(op.s2_lit, op.s2, mask, used)
-            fn_name = f"F{pc}_{slot}"
-            namespace[fn_name] = op.fn
-            used.add(fn_name)
-            prelude, condition = [], f"{fn_name}({a}, {b}, {width})"
-        used.add("PD")
-        return prelude + [
-            f"_v = {condition}",
-            f"_t = cycle + {op.latency}",
-            "_q = PD.get(_t)",
-            "if _q is None:",
-            "    _q = PD[_t] = []",
-            f"_q.append((1, {op.d1}, _v))",
-            f"_q.append((1, {op.d2}, 1 - _v))",
-        ], False, []
+            raise _Ineligible(f"unsupported op kind {kind}")
+        return _OpCode(lines, writes, bumps, can_trap, control)
 
-    if kind in (dec.K_LOAD, dec.K_LOAD_SPEC):
-        _check_index(op.d1, n_gprs, "GPR destination")
-        lines = addr_lines("_a")
-        n_words = namespace["_N_MEM_WORDS"]
-        used.add("MEM")
-        if kind == dec.K_LOAD_SPEC:
-            # Dismissible load: bad addresses read as zero.
-            lines.append(f"_v = MEM[_a] if 0 <= _a < {n_words} else 0")
-        else:
-            # In-range reads index the word array directly; anything
-            # else goes through DataMemory.read for the OOB trap.
-            used.add("MR")
-            lines.append(f"_v = MEM[_a] if 0 <= _a < {n_words} else MR(_a)")
-        lines += _push_lines(0, op.d1, "_v", op.latency, used)
-        return lines, False, [(_C_MEMR, 1)]
+    def guarded(self, guard: int, fu: int, bumps: List[Tuple[int, int]],
+                lines: List[str]) -> List[str]:
+        """``lines`` behind predicate ``guard``, with the op's counters."""
+        self.used.add("C")
+        return ([f"if {self.reg(1, guard)}:",
+                 f"    C[{_C_EXEC}] += 1",
+                 f"    C[{fu}] += 1"]
+                + [f"    C[{index}] += {n}" for index, n in bumps]
+                + ["    " + line for line in lines]
+                + ["else:", f"    C[{_C_SQUASH}] += 1"])
 
-    if kind == dec.K_STORE:
-        _check_index(op.d1, n_gprs, "store source")
-        n_words = namespace["_N_MEM_WORDS"]
-        used.update(("MC", "G"))
-        return addr_lines("_ta") + [
-            f"if not 0 <= _ta < {n_words}:",
-            "    MC(_ta)",  # raises the OOB store trap
-            "_sa = _ta",
-            f"_sv = G[{op.d1}]",
-        ], False, [(_C_MEMW, 1)]
+    def store_frame(self, ops) -> Tuple[List[str], List[str]]:
+        """Lines before and after a bundle's ops for its buffered store.
 
-    if kind == dec.K_PBR:
-        _check_index(op.d1, n_btrs, "BTR destination")
-        if op.s1 < 0:
-            raise _Ineligible("PBR with negative target")
-        return _push_lines(2, op.d1, repr(op.s1), op.latency, used), False, []
-
-    if kind == dec.K_MOVGBP:
-        _check_index(op.d1, n_btrs, "BTR destination")
-        value = _src_expr(op.s1_lit, op.s1, mask, used)
-        return _push_lines(2, op.d1, value, op.latency, used), False, []
-
-    if kind in (dec.K_BR, dec.K_BRL):
-        _check_index(op.s1, n_btrs, "branch-target read")
-        used.add("B")
-        lines = [f"_tg = B[{op.s1}]"]
-        if kind == dec.K_BRL:
-            _check_index(op.d1, n_gprs, "link destination")
-            lines += _push_lines(0, op.d1, repr((pc + 1) & mask),
-                                 op.latency, used)
-        return lines, True, [(_C_BRANCHES, 1)]
-
-    if kind in (dec.K_BRCT, dec.K_BRCF):
-        _check_index(op.s1, n_btrs, "branch-target read")
-        _check_index(op.s2, n_preds, "branch condition")
-        used.update(("B", "P"))
-        test = f"P[{op.s2}]" if kind == dec.K_BRCT else f"not P[{op.s2}]"
-        return [
-            f"if {test}:",
-            f"    _tg = B[{op.s1}]",
-        ], True, [(_C_BRANCHES, 1)]
-
-    if kind == dec.K_HALT:
-        return ["_tg = -1"], True, []
-
-    raise _Ineligible(f"unsupported op kind {kind}")
+        The store lands once the whole bundle has executed; a guarded
+        one marks itself squashed with ``_sa = -1``.
+        """
+        stores = [op for op in ops if op.kind == dec.K_STORE]
+        if not stores:
+            return [], []
+        if len(stores) > 1:
+            # The generated code holds one buffered store in (_sa, _sv).
+            raise _Ineligible("more than one store in a bundle")
+        self.used.add("MEM")
+        if stores[0].guard:  # G values are pre-masked
+            return ["_sa = -1"], ["if _sa >= 0:", "    MEM[_sa] = _sv"]
+        return [], ["MEM[_sa] = _sv"]
 
 
-def _bundle_source(pc: int, bundle, config, namespace: Dict[str, object],
-                   fu_slot, forwarding: bool
-                   ) -> Tuple[str, str, List[Tuple[int, int]]]:
+def _bundle_source(pc: int, bundle, coder: _Coder, fu_slot,
+                   forwarding: bool) -> Tuple[str, str, List[Tuple[int, int]]]:
     """Generate one bundle's execution function.
 
     Returns ``(name, source, static_counts)``.  ``static_counts`` holds
@@ -391,7 +451,7 @@ def _bundle_source(pc: int, bundle, config, namespace: Dict[str, object],
     at the end, so the generated code carries no bookkeeping for them.
     Guarded ops keep their increments inline, inside the guard test.
     """
-    used: Set[str] = set()
+    used = coder.used
     body: List[str] = []
     static: Dict[int, int] = {}
 
@@ -412,54 +472,49 @@ def _bundle_source(pc: int, bundle, config, namespace: Dict[str, object],
         body.append(f"reads = {len(read_set)}")
 
     # -- stage 2: execute, with per-op code unrolled --------------------
-    has_control = any(op.kind in _CONTROL_KINDS for op in bundle.ops)
-    if sum(op.kind in _CONTROL_KINDS for op in bundle.ops) > 1:
+    n_control = sum(op.kind in _CONTROL_KINDS for op in bundle.ops)
+    if n_control > 1:
         raise _Ineligible("more than one control operation in a bundle")
-    has_store = any(op.kind == dec.K_STORE for op in bundle.ops)
-    if sum(op.kind == dec.K_STORE for op in bundle.ops) > 1:
-        # The generated code holds one buffered store in (_sa, _sv).
-        raise _Ineligible("more than one store in a bundle")
-    if has_control:
+    if n_control:
         body.append("_tg = None")
-    if has_store:
-        body.append("_sa = -1")
-
+    store_init, store_tail = coder.store_frame(bundle.ops)
+    body += store_init
     for slot, op in enumerate(bundle.ops):
         if op.kind == dec.K_NOP:
             static[_C_NOPS] = static.get(_C_NOPS, 0) + 1
             continue
-        lines, _, bumps = _op_body(op, pc, slot, config, namespace, used)
+        code = coder.op_code(op, pc, slot)
+        lines = list(code.lines)
+        latency = None
+        for space, dest, ready, value in code.writes:
+            if ready != latency:  # one queue lookup per latency
+                latency = ready
+                used.add("PD")
+                lines += [f"_t = cycle + {ready}"] + _queue_lines("_t")
+            lines.append(f"_q.append(({space}, {dest}, {value}))")
+        if code.control is not None:
+            test, target = code.control
+            if target is None:
+                lines.append("_tg = -1")  # HALT
+            elif test is None:
+                lines.append(f"_tg = {target}")
+            else:
+                lines += [f"if {test}:", f"    _tg = {target}"]
         fu_index = fu_slot(op.fu)
         if op.guard:
-            used.update(("P", "C"))
-            body.append(f"if P[{op.guard}]:")
-            body.append(f"    C[{_C_EXEC}] += 1")
-            body.append(f"    C[{fu_index}] += 1")
-            for index, k in bumps:
-                body.append(f"    C[{index}] += {k}")
-            body.extend("    " + line for line in lines)
-            body.append("else:")
-            body.append(f"    C[{_C_SQUASH}] += 1")
+            body += coder.guarded(op.guard, fu_index, code.bumps, lines)
         else:
-            static[_C_EXEC] = static.get(_C_EXEC, 0) + 1
-            static[fu_index] = static.get(fu_index, 0) + 1
-            for index, k in bumps:
+            for index, k in [(_C_EXEC, 1), (fu_index, 1)] + code.bumps:
                 static[index] = static.get(index, 0) + k
-            body.extend(lines)
-
-    # -- buffered stores land once the whole bundle has executed -------
-    tail: List[str] = []
-    if has_store:
-        used.add("MEM")
-        tail.append("if _sa >= 0:")
-        tail.append("    MEM[_sa] = _sv")  # G values are pre-masked
+            body += lines
+    body += store_tail
     # Non-control bundles return a bare int: no per-cycle tuple.
-    tail.append("return reads, _tg" if has_control else "return reads")
+    body.append("return reads, _tg" if n_control else "return reads")
 
     name = f"_b{pc}"
     params = ["cycle"] + [f"{n}={n}" for n in sorted(used)]
     lines = [f"def {name}({', '.join(params)}):"]
-    lines.extend("    " + line for line in body + tail)
+    lines.extend("    " + line for line in body)
     return name, "\n".join(lines), sorted(static.items())
 
 
@@ -506,19 +561,19 @@ def _generate(machine) -> _Generated:
             counts_len += 1
         return fu_index[fu_class]
 
-    namespace: Dict[str, object] = {
-        # Memory size is fixed for the machine's lifetime; the code
-        # generator inlines it into the bounds checks.
-        "_N_MEM_WORDS": len(machine.memory),
-    }
+    namespace: Dict[str, object] = {}
     names: List[str] = []
     sources: List[str] = []
     statics: List[List[Tuple[int, int]]] = []
     for pc, bundle in enumerate(machine._bundles):
+        # Memory size is fixed for the machine's lifetime; the code
+        # generator inlines it into the bounds checks.
+        coder = _Coder(config, len(machine.memory))
         name, source, static_counts = _bundle_source(
-            pc, bundle, config, namespace, fu_slot,
-            forwarding=config.forwarding,
+            pc, bundle, coder, fu_slot, forwarding=config.forwarding,
         )
+        for fn_name, _, slot in coder.fn_refs:
+            namespace[fn_name] = bundle.ops[slot].fn
         names.append(name)
         sources.append(source)
         statics.append(static_counts)
@@ -560,12 +615,13 @@ def _generated_code(machine) -> _Generated:
 
 
 class FastSim:
-    """Compiled per-bundle execution records plus the fast run loop."""
+    """Compiled per-bundle execution records plus the one specialised run
+    loop, which the trace engine shares (see :meth:`run`)."""
 
     def __init__(self, machine):
         config = machine.config
         generated = _generated_code(machine)
-        counts = [0] * generated.counts_len
+        counts = [0] * (generated.counts_len + _T_SLOTS)
         pending: Dict[int, List[Tuple[int, int, int]]] = {}
         # Shared mutable context the generated functions bind directly
         # (as default arguments, at exec time below): the raw register
@@ -589,6 +645,7 @@ class FastSim:
         self._static = generated.statics
         self._n_mem = generated.n_mem
         self._counts = counts
+        self._t_base = generated.counts_len
         self._fu_index = generated.fu_index
         self._pending = pending
         self._ready_at = namespace["RA"]
@@ -601,7 +658,8 @@ class FastSim:
     def run(self, max_cycles: int, watchdog_cycles: Optional[int],
             until_cycle: Optional[int] = None,
             start_cycle: int = 0,
-            start_pc: Optional[int] = None) -> int:
+            start_pc: Optional[int] = None,
+            trace=None) -> int:
         """Execute until HALT; returns the final cycle count.
 
         Statistics are folded into the machine's :class:`SimStats` (also
@@ -618,6 +676,15 @@ class FastSim:
         forwarding ages) is reset here, which is exact *because* resume
         points are quiescent: nothing was in flight, and stale
         forwarding ages can never equal a future cycle.
+
+        ``trace``, a :class:`~repro.core.tracejit.TraceSim` over this
+        engine, turns on superblock dispatch and the taken-branch
+        profile that forms superblocks; without it neither costs more
+        than one test of a local flag.  Pauses only happen on the
+        bundle path: a trace is never entered once the pause target is
+        reached (its dispatch guard requires an empty pending queue,
+        which is exactly the pause condition, and the pause test runs
+        first).
         """
         machine = self._machine
         config = machine.config
@@ -647,6 +714,17 @@ class FastSim:
         fetch_bits = config.issue_width * 64
         bank_bits = config.n_mem_banks * 32 * 2
         branch_penalty = config.taken_branch_penalty
+
+        tracing = trace is not None
+        if tracing:
+            traces = trace._traces
+            blacklist = trace._blacklist
+            hot = trace._hot
+            hotness = trace._hotness
+            bi = trace._bi
+            runtimes = trace._runtimes
+        else:
+            runtimes = ()
 
         # Per-bundle visit counts: each visit implies the bundle's
         # static counter increments, multiplied out in the fold below.
@@ -699,40 +777,81 @@ class FastSim:
                     )
 
                 # Write-backs due by now, in (ready, issue-order) order.
-                # Every pending entry is scheduled at least one cycle
-                # ahead, so scanning forward from the last drained cycle
-                # visits each ready cycle exactly once.
-                while next_ready < cycle:
-                    queue = pending_pop(next_ready, None)
+                # Every pending entry is scheduled at or after
+                # ``next_ready``, so scanning forward from it visits each
+                # ready cycle exactly once.
+                writes_landing = 0
+                if pending:
+                    while next_ready < cycle:
+                        queue = pending_pop(next_ready, None)
+                        if queue is not None:
+                            for space, index, value in queue:
+                                if space == 0:
+                                    if index:
+                                        gpr[index] = value & gmask
+                                    ready_at[index] = next_ready
+                                    regfile_writes += 1
+                                elif space == 1:
+                                    if index:
+                                        pred[index] = 1 if value else 0
+                                else:
+                                    btr[index] = value
+                        next_ready += 1
+                    queue = pending_pop(cycle, None)
                     if queue is not None:
                         for space, index, value in queue:
                             if space == 0:
                                 if index:
                                     gpr[index] = value & gmask
-                                ready_at[index] = next_ready
+                                ready_at[index] = cycle
                                 regfile_writes += 1
+                                writes_landing += 1
                             elif space == 1:
                                 if index:
                                     pred[index] = 1 if value else 0
                             else:
                                 btr[index] = value
-                    next_ready += 1
-                writes_landing = 0
-                queue = pending_pop(cycle, None)
-                if queue is not None:
-                    for space, index, value in queue:
-                        if space == 0:
-                            if index:
-                                gpr[index] = value & gmask
-                            ready_at[index] = cycle
-                            regfile_writes += 1
-                            writes_landing += 1
-                        elif space == 1:
-                            if index:
-                                pred[index] = 1 if value else 0
-                        else:
-                            btr[index] = value
+                # Bundles push at least one cycle ahead of their issue.
                 next_ready = cycle + 1
+
+                # -- superblock dispatch ------------------------------
+                # Entry guards: the pending queue must be empty (the
+                # compiled schedule assumes no external landings at
+                # in-trace cycles) and the whole trace must issue
+                # inside the limit (limit precedence stays with the
+                # bundle loop above).
+                if tracing:
+                    runtime = traces[pc]
+                    if (runtime is not None and not pending
+                            and cycle + runtime.o_last < limit):
+                        try:
+                            pc, cycle = runtime.fn(cycle, writes_landing)
+                        except TrapError as trap:
+                            k = bi[0]
+                            trap_pc, pairs = runtime.trap_info[k]
+                            trap.annotate(cycle + runtime.offsets[k],
+                                          trap_pc)
+                            machine.traps.append(trap)
+                            traps_seen += 1
+                            for index, n in pairs:
+                                counts[index] += n
+                            raise
+                        if pc < 0:  # HALT inside the trace
+                            break
+                        # Writes still in flight at the exit can be due
+                        # before the exit cycle: rescan from the first.
+                        if pending:
+                            next_ready = min(pending)
+                        # Side-exit targets are profiled too (trace
+                        # linking): a cap-split loop body's continuation
+                        # is only ever reached through a trace exit,
+                        # never through a taken branch on the bundle path.
+                        if traces[pc] is None and pc not in blacklist:
+                            count = hot[pc] + 1
+                            hot[pc] = count
+                            if count >= hotness:
+                                trace._compile_trace(pc)
+                        continue
 
                 visits[pc] += 1
                 try:
@@ -741,7 +860,7 @@ class FastSim:
                     trap.annotate(cycle, pc)
                     machine.traps.append(trap)
                     traps_seen += 1
-                    raise  # fast path requires the "halt" trap policy
+                    raise  # specialised engines require the "halt" policy
                 if result.__class__ is int:  # non-control bundle
                     reads = result
                     target = None
@@ -768,15 +887,32 @@ class FastSim:
                     branch_bubbles += branch_penalty
                     extra += branch_penalty
                     pc = target
+                    # Taken-branch targets are the trace profile: loop
+                    # heads cross the threshold after a few iterations,
+                    # cold code never pays more than this counter bump.
+                    if tracing and traces[pc] is None \
+                            and pc not in blacklist:
+                        count = hot[pc] + 1
+                        hot[pc] = count
+                        if count >= hotness:
+                            trace._compile_trace(pc)
                 else:  # HALT
                     cycle += 1 + extra
                     break
                 cycle += 1 + extra
         finally:
             # Fold local and generated-code counters into the shared
-            # stats object — also on abnormal exits.  Static per-bundle
-            # counts are multiplied out by visit count here, which is
-            # what lets the generated code skip them entirely.
+            # stats object — also on abnormal exits.  Trace exit
+            # counters multiply out their per-exit static tables and
+            # per-bundle visit counts the bundles' static counts, which
+            # is what lets the generated code skip them entirely.
+            for runtime in runtimes:
+                ex = runtime.ex
+                for j, n in enumerate(ex):
+                    if n:
+                        for index, k in runtime.exit_static[j]:
+                            counts[index] += n * k
+                        ex[j] = 0
             bundles_issued = 0
             statics = self._static
             for i, n in enumerate(visits):
@@ -784,12 +920,14 @@ class FastSim:
                     bundles_issued += n
                     for index, k in statics[i]:
                         counts[index] += n * k
-            stats.bundles += bundles_issued
-            stats.branches_taken += branches_taken
-            stats.branch_bubble_cycles += branch_bubbles
-            stats.port_stall_cycles += port_stalls
-            stats.fetch_stall_cycles += fetch_stalls
-            stats.regfile_writes += regfile_writes
+            tb = self._t_base
+            stats.bundles += bundles_issued + counts[tb + _T_BUNDLES]
+            stats.branches_taken += branches_taken + counts[tb + _T_BRT]
+            stats.branch_bubble_cycles += (
+                branch_bubbles + counts[tb + _T_BUB])
+            stats.port_stall_cycles += port_stalls + counts[tb + _T_PORT]
+            stats.fetch_stall_cycles += fetch_stalls + counts[tb + _T_FETCH]
+            stats.regfile_writes += regfile_writes + counts[tb + _T_RFW]
             stats.traps += traps_seen
             stats.ops_executed += counts[_C_EXEC]
             stats.ops_squashed += counts[_C_SQUASH]
@@ -809,14 +947,8 @@ class FastSim:
                 counts[i] = 0
 
         # Drain outstanding write-backs so final state is architectural.
-        # All remaining entries are at ``next_ready`` or later (pushes
-        # land at least one cycle after their issue cycle).
-        while pending:
-            queue = pending_pop(next_ready, None)
-            next_ready += 1
-            if queue is None:
-                continue
-            for space, index, value in queue:
+        for ready in sorted(pending):
+            for space, index, value in pending[ready]:
                 if space == 0:
                     if index:
                         gpr[index] = value & gmask
@@ -825,6 +957,7 @@ class FastSim:
                         pred[index] = 1 if value else 0
                 else:
                     btr[index] = value
+        pending.clear()
 
         stats.cycles = cycle
         return cycle

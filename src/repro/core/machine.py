@@ -248,37 +248,28 @@ class EpicProcessor:
         if self._paused:
             start_cycle, start_pc = self._resume_cycle, self._resume_pc
             self._paused = False
-        if engine == "trace":
-            sim = self._trace_sim()
-            if sim is None:
+        if engine != "reference" and eligible:
+            sim = self._fast_sim()
+            if sim is None and engine != "auto":
+                requested = ("trace engine" if engine == "trace"
+                             else "fast path")
                 raise SimulationError(
-                    "trace engine requested but the loaded program cannot "
+                    f"{requested} requested but the loaded program cannot "
                     f"be specialised: {self.fastpath_reject_reason}"
                 )
-            self.last_engine = "trace"
-            cycles = sim.run(max_cycles=max_cycles,
-                             watchdog_cycles=watchdog_cycles,
-                             until_cycle=until_cycle,
-                             start_cycle=start_cycle, start_pc=start_pc)
-            return SimulationResult(cycles=cycles, stats=self.stats,
-                                    halted=not self._paused,
-                                    traps=list(self.traps))
-        if engine in ("auto", "fast") and eligible:
-            sim = self._fast_sim()
             if sim is not None:
-                self.last_engine = "fast"
+                # The trace engine runs the fast engine's loop with
+                # superblock dispatch switched on.
+                tracer = self._trace_sim() if engine == "trace" else None
+                self.last_engine = "trace" if tracer else "fast"
                 cycles = sim.run(max_cycles=max_cycles,
                                  watchdog_cycles=watchdog_cycles,
                                  until_cycle=until_cycle,
-                                 start_cycle=start_cycle, start_pc=start_pc)
+                                 start_cycle=start_cycle, start_pc=start_pc,
+                                 trace=tracer)
                 return SimulationResult(cycles=cycles, stats=self.stats,
                                         halted=not self._paused,
                                         traps=list(self.traps))
-            if engine == "fast":
-                raise SimulationError(
-                    "fast path requested but the loaded program cannot be "
-                    f"specialised: {self.fastpath_reject_reason}"
-                )
         self.last_engine = "reference"
         return self._run_instrumented(max_cycles=max_cycles, trace=trace,
                                       watchdog_cycles=watchdog_cycles,

@@ -6,12 +6,14 @@ a write-back drain probe, the PC bounds check and the port/fetch stall
 arithmetic.  For loop-dominated workloads (all four paper benchmarks)
 nearly all of that is invariant across iterations.
 
-This module removes it by compiling *superblocks*: the run loop counts
-entries at taken-branch targets, and once a target crosses a hotness
-threshold the trace builder walks the statically-known fall-through
-chain from it — ending at an unconditional control transfer, a
-loop-back, the end of the program or a length cap — and emits ONE
-generated Python function for the whole chain.
+This module removes it by compiling *superblocks*.  It has no run loop
+of its own: :meth:`~repro.core.fastpath.FastSim.run`, given a
+:class:`TraceSim`, counts entries at taken-branch targets, and once a
+target crosses a hotness threshold the trace builder walks the
+statically-known fall-through chain from it — ending at an
+unconditional control transfer, a loop-back, the end of the program or
+a length cap — and emits ONE generated Python function for the whole
+chain, from the fast path's per-op code generator.
 
 Leaf calls are inlined into the chain.  Like the paper's EPIC, the
 compiled code prepares branch targets ahead of the branch (``PBR`` into
@@ -84,37 +86,18 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import decode as dec
 from repro.core.fastpath import (
-    _alu_inline,
-    _cmp_inline,
-    _src_expr,
-    _C_EXEC,
-    _C_SQUASH,
-    _C_NOPS,
-    _C_BRANCHES,
-    _C_MEMR,
-    _C_MEMW,
-    _C_READS,
+    _Coder,
+    _queue_lines,
     _C_FWD,
     _CONTROL_KINDS,
+    _T_BRT,
+    _T_BUB,
+    _T_BUNDLES,
+    _T_FETCH,
+    _T_PORT,
+    _T_RFW,
 )
-from repro.errors import (
-    CycleLimitExceeded,
-    HangDetected,
-    TrapError,
-    TRAP_ILLEGAL_INSTRUCTION,
-)
-from repro.isa.semantics import ALU_SEMANTICS, CMP_SEMANTICS
-
-#: Offsets of the trace-specific counter slots appended to the shared
-#: counts list ``C`` (base = length of the fast path's layout, which is
-#: deterministic for a given program + configuration).
-_T_RFW = 0       # regfile_writes landed inside traces
-_T_PORT = 1      # port stall cycles charged at trace exits
-_T_FETCH = 2     # fetch stall cycles (static, folded per exit)
-_T_BRT = 3       # branches taken at trace exits
-_T_BUB = 4       # branch bubble cycles at trace exits
-_T_BUNDLES = 5   # bundles issued inside traces
-_T_SLOTS = 6
+from repro.errors import TrapError
 
 #: Unconditional control kinds: a trace never crosses one (it ends the
 #: chain), and never *contains* a guarded one (the chain stops before).
@@ -295,13 +278,18 @@ class TraceCache:
                 "hits": self.hits, "invalidations": self.invalidations}
 
 
-class _TraceBuilder:
-    """Generates one superblock function for a chain of bundle PCs."""
+class _TraceBuilder(_Coder):
+    """Generates one superblock function for a chain of bundle PCs.
 
-    def __init__(self, machine, fastsim, pcs: List[int], follow: List[int],
-                 t_base: int):
+    Ops come from the bundle engine's generator (:class:`_Coder`); this
+    subclass reads promoted locals instead of the register files and
+    keeps every value in a fresh local, so landings and side exits can
+    decide later whether it ever touches the register-file lists.
+    """
+
+    def __init__(self, machine, fastsim, pcs: List[int], follow: List[int]):
+        super().__init__(machine.config, len(machine.memory))
         self.machine = machine
-        self.config = machine.config
         self.pcs = pcs
         #: Chain positions of followed branches (inlined calls/returns).
         self.follow = frozenset(follow)
@@ -309,10 +297,9 @@ class _TraceBuilder:
         self.fu_index = fastsim._fu_index
         self.pc_static = fastsim._static      # per-PC (index, k) pairs
         self.n_mem = fastsim._n_mem
-        self.t_base = t_base
+        self.t_base = t_base = fastsim._t_base
 
         config = self.config
-        self.mask = config.mask
         self.penalty = config.taken_branch_penalty
         self.budget = config.regfile_ops_per_cycle
         self.model_ports = config.model_port_limit
@@ -330,8 +317,7 @@ class _TraceBuilder:
         self.offsets = offsets
 
         self.writes: List[_Write] = []
-        self.used: Set[str] = {"EX"}
-        self.fn_refs: List[Tuple[str, int, int]] = []
+        self.used.add("EX")
         self.exit_static: List[List[Tuple[int, int]]] = []
         self.trap_info: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
         #: Unguarded counter increments implied by "bundle k executed".
@@ -355,185 +341,33 @@ class _TraceBuilder:
                     )
         #: Promoted locals: (space, index) -> local name, insertion order.
         self.bind: Dict[Tuple[int, int], str] = {}
-        self._n_mem_words = len(machine.memory)
         self._vseq = 0
         self._wseq = 0
         self._fseq = 0
-        self._flag: Optional[str] = None  # active guard flag during codegen
         self._can_trap = False            # current bundle may raise TrapError
         self.flag_inits: List[str] = []
 
     # -- operand resolution (promoted local, else register file) -------
 
-    def _gread(self, reg: int) -> str:
-        name = self.bind.get((0, reg))
-        if name is not None:
-            return name
-        self.used.add("G")
-        return f"G[{reg}]"
+    def reg(self, space: int, index: int) -> str:
+        name = self.bind.get((space, index))
+        return name if name is not None else super().reg(space, index)
 
-    def _pread(self, index: int) -> str:
-        name = self.bind.get((1, index))
-        if name is not None:
-            return name
-        self.used.add("P")
-        return f"P[{index}]"
-
-    def _bread(self, index: int) -> str:
-        name = self.bind.get((2, index))
-        if name is not None:
-            return name
-        self.used.add("B")
-        return f"B[{index}]"
-
-    def _new_var(self) -> str:
+    def new_var(self) -> str:
         self._vseq += 1
         return f"_v{self._vseq}"
 
     def _add_write(self, k: int, space: int, dest: int, latency: int,
-                   var: str) -> _Write:
+                   var: str, flag: Optional[str]) -> None:
         self._wseq += 1
         ready = self.offsets[k] + latency
-        write = _Write(k, self._wseq, space, dest, ready, self._flag, var)
+        write = _Write(k, self._wseq, space, dest, ready, flag, var)
         # First chain position whose issue cycle is >= ready.
         for m in range(k + 1, len(self.pcs)):
             if self.offsets[m] >= ready:
                 write.land = m
                 break
         self.writes.append(write)
-        return write
-
-    # -- per-op issue code ---------------------------------------------
-
-    def _op_lines(self, op, pc: int, slot: int, k: int
-                  ) -> Tuple[List[str], List[Tuple[int, int]]]:
-        """Issue code + unguarded-counter bumps for one operation.
-
-        Mirrors :func:`repro.core.fastpath._op_body`, but captures each
-        write-back value in a fresh local instead of pushing it onto
-        the pending dictionary — landings and side exits decide later
-        whether the value ever touches the register-file lists.
-        """
-        kind = op.kind
-        config = self.config
-        mask = self.mask
-        width = config.datapath_width
-        used = self.used
-
-        def addr_lines(var: str) -> List[str]:
-            base = _src_expr(op.s1_lit, op.s1, mask, used, self._gread)
-            offset = _src_expr(op.s2_lit, op.s2, mask, used, self._gread)
-            return [
-                f"{var} = ({base} + {offset}) & {mask}",
-                f"if {var} >= {1 << (width - 1)}:",
-                f"    {var} -= {1 << width}",
-            ]
-
-        if kind in (dec.K_ALU, dec.K_CUSTOM):
-            a = _src_expr(op.s1_lit, op.s1, mask, used, self._gread)
-            if op.fn is None:  # MOVE
-                prelude, expr = [], a
-            else:
-                inline = None
-                if kind == dec.K_ALU and op.fn is ALU_SEMANTICS.get(op.mnemonic):
-                    inline = _alu_inline(op, config, used, self._gread)
-                if inline is not None:
-                    prelude, expr = inline
-                else:
-                    b = _src_expr(op.s2_lit, op.s2, mask, used, self._gread)
-                    fn_name = f"F{pc}_{slot}"
-                    self.fn_refs.append((fn_name, pc, slot))
-                    used.add(fn_name)
-                    self._can_trap = True
-                    third = mask if kind == dec.K_CUSTOM else width
-                    prelude, expr = [], f"{fn_name}({a}, {b}, {third})"
-            var = self._new_var()
-            self._add_write(k, 0, op.d1, op.latency, var)
-            return prelude + [f"{var} = {expr}"], []
-
-        if kind == dec.K_MOVI:
-            self._add_write(k, 0, op.d1, op.latency, repr(op.s1 & mask))
-            return [], []
-
-        if kind == dec.K_CMP:
-            inline = None
-            if op.fn is CMP_SEMANTICS.get(op.mnemonic):
-                inline = _cmp_inline(op, config, used, self._gread)
-            if inline is not None:
-                prelude, condition = inline
-            else:
-                a = _src_expr(op.s1_lit, op.s1, mask, used, self._gread)
-                b = _src_expr(op.s2_lit, op.s2, mask, used, self._gread)
-                fn_name = f"F{pc}_{slot}"
-                self.fn_refs.append((fn_name, pc, slot))
-                used.add(fn_name)
-                self._can_trap = True
-                prelude, condition = [], f"{fn_name}({a}, {b}, {width})"
-            var = self._new_var()
-            inverse = self._new_var()
-            self._add_write(k, 1, op.d1, op.latency, var)
-            self._add_write(k, 1, op.d2, op.latency, inverse)
-            return prelude + [f"{var} = {condition}",
-                              f"{inverse} = 1 - {var}"], []
-
-        if kind in (dec.K_LOAD, dec.K_LOAD_SPEC):
-            lines = addr_lines("_a")
-            n_words = self._n_mem_words
-            used.add("MEM")
-            var = self._new_var()
-            if kind == dec.K_LOAD_SPEC:
-                lines.append(f"{var} = MEM[_a] if 0 <= _a < {n_words} else 0")
-            else:
-                used.add("MR")
-                self._can_trap = True
-                lines.append(
-                    f"{var} = MEM[_a] if 0 <= _a < {n_words} else MR(_a)"
-                )
-            self._add_write(k, 0, op.d1, op.latency, var)
-            return lines, [(_C_MEMR, 1)]
-
-        if kind == dec.K_STORE:
-            n_words = self._n_mem_words
-            used.add("MC")
-            self._can_trap = True
-            value = self._gread(op.d1)
-            return addr_lines("_ta") + [
-                f"if not 0 <= _ta < {n_words}:",
-                "    MC(_ta)",  # raises the OOB store trap
-                "_sa = _ta",
-                f"_sv = {value}",
-            ], [(_C_MEMW, 1)]
-
-        if kind == dec.K_PBR:
-            self._add_write(k, 2, op.d1, op.latency, repr(op.s1))
-            return [], []
-
-        if kind == dec.K_MOVGBP:
-            value = _src_expr(op.s1_lit, op.s1, mask, used, self._gread)
-            var = self._new_var()
-            self._add_write(k, 2, op.d1, op.latency, var)
-            return [f"{var} = {value}"], []
-
-        if kind in (dec.K_BR, dec.K_BRL):
-            # A followed branch's target is the next chain position.
-            lines = [] if k in self.follow \
-                else [f"_tg = {self._bread(op.s1)}"]
-            if kind == dec.K_BRL:
-                self._add_write(k, 0, op.d1, op.latency,
-                                repr((pc + 1) & mask))
-            return lines, [(_C_BRANCHES, 1)]
-
-        if kind in (dec.K_BRCT, dec.K_BRCF):
-            test = self._pread(op.s2)
-            if kind == dec.K_BRCF:
-                test = f"not {test}"
-            return [f"_tk = {test}",
-                    f"_tg = {self._bread(op.s1)}"], [(_C_BRANCHES, 1)]
-
-        if kind == dec.K_HALT:
-            return [], []
-
-        raise AssertionError(f"unspecialisable op kind {kind} in a trace")
 
     # -- landings -------------------------------------------------------
 
@@ -664,52 +498,47 @@ class _TraceBuilder:
         """Issue every op of chain position ``k``; returns the control op."""
         bundle = self.bundles[k]
         control = None
-        guarded_store = any(op.kind == dec.K_STORE and op.guard
-                            for op in bundle.ops)
-        has_store = any(op.kind == dec.K_STORE for op in bundle.ops)
-        if guarded_store:
-            body.append("_sa = -1")
+        store_init, store_tail = self.store_frame(bundle.ops)
+        body += store_init
         for slot, op in enumerate(bundle.ops):
             if op.kind == dec.K_NOP:
                 continue  # static NOP counts are already folded
             if op.kind in _CONTROL_KINDS:
                 control = op
+            branch = op.kind in (dec.K_BRCT, dec.K_BRCF)
+            flag = None
+            if op.guard and not branch and op.kind != dec.K_STORE:
+                self._fseq += 1
+                flag = f"_g{self._fseq}"
+                self.flag_inits.append(f"{flag} = 0")
+            code = self.op_code(op, pc, slot)
+            self._can_trap |= code.can_trap
+            lines = list(code.lines)
+            for space, dest, latency, value in code.writes:
+                if not (value.isdigit() or value.isidentifier()):
+                    var = self.new_var()
+                    lines.append(f"{var} = {value}")
+                    value = var
+                self._add_write(k, space, dest, latency, value, flag)
+            if code.control is not None:
+                test, target = code.control
+                # A followed branch's target is the next chain position.
+                if test is not None:
+                    lines += [f"_tk = {test}", f"_tg = {target}"]
+                elif target is not None and k not in self.follow:
+                    lines.append(f"_tg = {target}")
             if op.guard:
-                self.used.add("C")
-                guard_expr = self._pread(op.guard)
-                if op.kind in (dec.K_BRCT, dec.K_BRCF):
+                if branch:
                     body.append("_tk = 0")
-                flag = None
-                if op.kind not in (dec.K_STORE, dec.K_BRCT, dec.K_BRCF):
-                    self._fseq += 1
-                    flag = f"_g{self._fseq}"
-                    self.flag_inits.append(f"{flag} = 0")
-                self._flag = flag
-                lines, bumps = self._op_lines(op, pc, slot, k)
-                self._flag = None
-                fu = self.fu_index[op.fu]
-                body.append(f"if {guard_expr}:")
-                body.append(f"    C[{_C_EXEC}] += 1")
-                body.append(f"    C[{fu}] += 1")
-                for index, n in bumps:
-                    body.append(f"    C[{index}] += {n}")
-                body.extend("    " + line for line in lines)
                 if flag is not None:
-                    body.append(f"    {flag} = 1")
-                body.append("else:")
-                body.append(f"    C[{_C_SQUASH}] += 1")
+                    lines.append(f"{flag} = 1")
+                body += self.guarded(op.guard, self.fu_index[op.fu],
+                                     code.bumps, lines)
             else:
                 # Unguarded counter bumps are already in the fast
                 # path's per-bundle statics (folded per exit).
-                lines, _ = self._op_lines(op, pc, slot, k)
-                body.extend(lines)
-        if has_store:
-            self.used.add("MEM")
-            if guarded_store:
-                body.append("if _sa >= 0:")
-                body.append("    MEM[_sa] = _sv")
-            else:
-                body.append("MEM[_sa] = _sv")
+                body += lines
+        body += store_tail
         return control
 
     # -- side exits -----------------------------------------------------
@@ -768,12 +597,7 @@ class _TraceBuilder:
         return self._push_group([w])
 
     def _push_group(self, group: List[_Write]) -> List[str]:
-        ready = group[0].ready
-        lines = [
-            f"_q = PD.get(cycle0 + {ready})",
-            "if _q is None:",
-            f"    _q = PD[cycle0 + {ready}] = []",
-        ]
+        lines = _queue_lines(f"cycle0 + {group[0].ready}")
         for w in group:
             lines.append(f"_q.append(({w.space}, {w.dest}, {w.var}))")
         return lines
@@ -917,9 +741,10 @@ class _TraceBuilder:
 
 
 class TraceSim:
-    """The trace engine: fast-path run loop + superblock dispatch.
+    """The trace engine's state: profile, blacklist and superblocks.
 
-    Layered on a :class:`~repro.core.fastpath.FastSim` — cold bundles
+    Layered on a :class:`~repro.core.fastpath.FastSim`, whose run loop
+    takes this object (``FastSim.run(..., trace=...)``): cold bundles
     execute through the specialised bundle functions exactly as the
     fast path would; hot taken-branch targets are compiled into
     superblocks and dispatched whenever their entry guards hold.
@@ -939,9 +764,6 @@ class TraceSim:
         self._blacklist: Set[int] = set()
         self._runtimes: List[_TraceRuntime] = []
         self._bi = [0]  # chain position of the bundle that may trap
-        counts = fastsim._counts
-        self._t_base = len(counts)
-        counts.extend([0] * _T_SLOTS)
         #: Superblocks compiled by this engine (cache hits included).
         self.traces_compiled = 0
         # A shared cache warmed by an earlier run makes this engine hot
@@ -1113,8 +935,7 @@ class TraceSim:
             if len(pcs) < self._min_len:
                 self._blacklist.add(entry_pc)
                 return
-            builder = _TraceBuilder(machine, self._fastsim, pcs, follow,
-                                    self._t_base)
+            builder = _TraceBuilder(machine, self._fastsim, pcs, follow)
             code = builder.build(f"_t{entry_pc}", salt=_current_salt())
             if self._cache is not None:
                 self._cache.put(machine, entry_pc, code)
@@ -1146,267 +967,3 @@ class TraceSim:
         runtime = _TraceRuntime(namespace[code.name], code, ex)
         self._runtimes.append(runtime)
         return runtime
-
-    # -- run loop -------------------------------------------------------
-
-    def run(self, max_cycles: int, watchdog_cycles: Optional[int],
-            until_cycle: Optional[int] = None,
-            start_cycle: int = 0,
-            start_pc: Optional[int] = None) -> int:
-        """Execute until HALT; returns the final cycle count.
-
-        Identical contract to :meth:`FastSim.run`: statistics fold into
-        the machine's :class:`SimStats` (also on abnormal exits), the
-        exceptions raised are exactly the instrumented path's, and
-        ``until_cycle``/``start_cycle``/``start_pc`` give the same
-        quiescent pause/resume semantics.  Pauses only happen on the
-        bundle path — a trace is never entered once the pause target is
-        reached (the dispatch guard below requires an empty pending
-        queue, which is exactly the pause condition, and the pause test
-        runs first).
-        """
-        machine = self._machine
-        fastsim = self._fastsim
-        config = machine.config
-        stats = machine.stats
-        fns = fastsim._fns
-        n_mem = fastsim._n_mem
-        n_bundles = len(fns)
-        gmask = config.mask
-
-        gpr = fastsim._gpr_values
-        pred = fastsim._pred_values
-        btr = fastsim._btr_values
-        counts = fastsim._counts
-        pending = fastsim._pending
-        pending_pop = pending.pop
-        ready_at = fastsim._ready_at
-
-        # Fresh per-run context (a prior aborted run may have leftovers).
-        for i in range(len(counts)):
-            counts[i] = 0
-        pending.clear()
-        ready_at[:] = [-1] * len(ready_at)
-
-        port_budget = config.regfile_ops_per_cycle
-        model_ports = config.model_port_limit
-        share_bandwidth = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2
-        branch_penalty = config.taken_branch_penalty
-
-        traces = self._traces
-        blacklist = self._blacklist
-        hot = self._hot
-        hotness = self._hotness
-        bi = self._bi
-
-        visits = [0] * n_bundles
-        branches_taken = 0
-        branch_bubbles = 0
-        port_stalls = 0
-        fetch_stalls = 0
-        regfile_writes = 0
-        traps_seen = 0
-
-        limit = max_cycles
-        if watchdog_cycles is not None and watchdog_cycles < limit:
-            limit = watchdog_cycles
-
-        cycle = start_cycle
-        pc = start_pc if start_pc is not None else machine.program.entry
-        try:
-            while True:
-                if cycle >= limit:
-                    if cycle >= max_cycles:
-                        raise CycleLimitExceeded(
-                            "cycle budget exhausted (runaway program?)",
-                            cycle=cycle, pc=pc, limit=max_cycles,
-                        )
-                    raise HangDetected(
-                        "watchdog fired: execution ran far past the "
-                        "expected cycle count",
-                        cycle=cycle, pc=pc, limit=watchdog_cycles,
-                    )
-                if until_cycle is not None and cycle >= until_cycle \
-                        and not pending:
-                    # Quiescent pause: nothing in flight, state purely
-                    # architectural (budget checks stay first — limits
-                    # are absolute across segments).
-                    machine._paused = True
-                    machine._resume_cycle = cycle
-                    machine._resume_pc = pc
-                    break
-                if not 0 <= pc < n_bundles:
-                    raise TrapError(
-                        "control fell outside the program (missing HALT "
-                        "or corrupted branch target?)",
-                        cause=TRAP_ILLEGAL_INSTRUCTION, cycle=cycle, pc=pc,
-                    )
-
-                # Write-backs due by now, ascending ready cycle, list
-                # order preserving issue order — the heap's pop order.
-                # Traces can advance the clock by dozens of cycles per
-                # dispatch, so unlike FastSim's scan-forward this walks
-                # the (few) populated ready cycles, not every cycle.
-                writes_landing = 0
-                if pending:
-                    for ready in sorted(pending):
-                        if ready > cycle:
-                            break
-                        queue = pending_pop(ready)
-                        for space, index, value in queue:
-                            if space == 0:
-                                if index:
-                                    gpr[index] = value & gmask
-                                ready_at[index] = ready
-                                regfile_writes += 1
-                                if ready == cycle:
-                                    writes_landing += 1
-                            elif space == 1:
-                                if index:
-                                    pred[index] = 1 if value else 0
-                            else:
-                                btr[index] = value
-
-                # -- superblock dispatch --------------------------------
-                # Entry guards: the pending queue must be empty (the
-                # compiled schedule assumes no external landings at
-                # in-trace cycles) and the whole trace must issue
-                # inside the limit (limit precedence stays with the
-                # bundle loop above).
-                runtime = traces[pc]
-                if (runtime is not None and not pending
-                        and cycle + runtime.o_last < limit):
-                    try:
-                        pc, cycle = runtime.fn(cycle, writes_landing)
-                    except TrapError as trap:
-                        k = bi[0]
-                        trap_pc, pairs = runtime.trap_info[k]
-                        trap.annotate(cycle + runtime.offsets[k], trap_pc)
-                        machine.traps.append(trap)
-                        traps_seen += 1
-                        for index, n in pairs:
-                            counts[index] += n
-                        raise
-                    if pc < 0:  # HALT inside the trace
-                        break
-                    # Side-exit targets are profiled too (trace
-                    # linking): a cap-split loop body's continuation
-                    # is only ever reached through a trace exit, never
-                    # through a taken branch on the bundle path.
-                    if traces[pc] is None and pc not in blacklist:
-                        count = hot[pc] + 1
-                        hot[pc] = count
-                        if count >= hotness:
-                            self._compile_trace(pc)
-                    continue
-
-                visits[pc] += 1
-                try:
-                    result = fns[pc](cycle)
-                except TrapError as trap:
-                    trap.annotate(cycle, pc)
-                    machine.traps.append(trap)
-                    traps_seen += 1
-                    raise  # the trace engine requires the "halt" policy
-                if result.__class__ is int:  # non-control bundle
-                    reads = result
-                    target = None
-                else:
-                    reads, target = result
-
-                extra = 0
-                if model_ports:
-                    port_ops = reads + writes_landing
-                    if port_ops > port_budget:
-                        stall = (port_ops + port_budget - 1) \
-                            // port_budget - 1
-                        port_stalls += stall
-                        extra += stall
-                if share_bandwidth and n_mem[pc]:
-                    demand = fetch_bits + 32 * n_mem[pc]
-                    stall = (demand + bank_bits - 1) // bank_bits - 1
-                    fetch_stalls += stall
-                    extra += stall
-
-                if target is None:
-                    pc += 1
-                elif target >= 0:
-                    branches_taken += 1
-                    branch_bubbles += branch_penalty
-                    extra += branch_penalty
-                    pc = target
-                    # Taken-branch targets are the profile: loop heads
-                    # cross the threshold after a few iterations, cold
-                    # code never pays more than this counter bump.
-                    if traces[pc] is None and pc not in blacklist:
-                        count = hot[pc] + 1
-                        hot[pc] = count
-                        if count >= hotness:
-                            self._compile_trace(pc)
-                else:  # HALT
-                    cycle += 1 + extra
-                    break
-                cycle += 1 + extra
-        finally:
-            # Fold everything into the shared stats object — also on
-            # abnormal exits.  Exit counters multiply out the per-exit
-            # static tables first, then the counts list (fast-path
-            # layout plus the trace slots) folds as usual.
-            for runtime in self._runtimes:
-                ex = runtime.ex
-                for j, n in enumerate(ex):
-                    if n:
-                        for index, k in runtime.exit_static[j]:
-                            counts[index] += n * k
-                        ex[j] = 0
-            bundles_issued = 0
-            statics = fastsim._static
-            for i, n in enumerate(visits):
-                if n:
-                    bundles_issued += n
-                    for index, k in statics[i]:
-                        counts[index] += n * k
-            tb = self._t_base
-            stats.bundles += bundles_issued + counts[tb + _T_BUNDLES]
-            stats.branches_taken += branches_taken + counts[tb + _T_BRT]
-            stats.branch_bubble_cycles += (
-                branch_bubbles + counts[tb + _T_BUB])
-            stats.port_stall_cycles += port_stalls + counts[tb + _T_PORT]
-            stats.fetch_stall_cycles += fetch_stalls + counts[tb + _T_FETCH]
-            stats.regfile_writes += regfile_writes + counts[tb + _T_RFW]
-            stats.traps += traps_seen
-            stats.ops_executed += counts[_C_EXEC]
-            stats.ops_squashed += counts[_C_SQUASH]
-            stats.nops += counts[_C_NOPS]
-            stats.branches += counts[_C_BRANCHES]
-            stats.memory_reads += counts[_C_MEMR]
-            stats.memory_writes += counts[_C_MEMW]
-            stats.regfile_reads += counts[_C_READS]
-            stats.regfile_reads_forwarded += counts[_C_FWD]
-            fu_busy = stats.fu_busy
-            for fu_class, index in fastsim._fu_index.items():
-                if counts[index]:
-                    fu_busy[fu_class] = (
-                        fu_busy.get(fu_class, 0) + counts[index]
-                    )
-            for i in range(len(counts)):
-                counts[i] = 0
-
-        # Drain outstanding write-backs so final state is architectural.
-        for ready in sorted(pending):
-            for space, index, value in pending[ready]:
-                if space == 0:
-                    if index:
-                        gpr[index] = value & gmask
-                elif space == 1:
-                    if index:
-                        pred[index] = 1 if value else 0
-                else:
-                    btr[index] = value
-        pending.clear()
-
-        stats.cycles = cycle
-        return cycle
-

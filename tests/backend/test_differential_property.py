@@ -8,6 +8,13 @@ baseline.  All observables must agree.  This is the single most
 bug-finding test in the repository: it exercises the front end, the
 optimiser, two instruction selectors, the register allocator, the list
 scheduler and both simulators against each other.
+
+The cross-engine test runs the same programs on the EPIC core's
+reference, fast and trace engines, including paused-and-resumed runs.
+It checks a fixed, derandomised corpus by default; loading the
+``cross-engine-wide`` profile (``tests/conftest.py``) with
+``--hypothesis-profile=cross-engine-wide --hypothesis-seed=N`` widens it
+to 300 seeded programs.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from repro.config import epic_config, epic_with_alus
 from repro.core import EpicProcessor
 from repro.ir import run_module
 from repro.lang import compile_minic
+from repro.perf.bench import stats_fingerprint
 
 _VARS = ["v0", "v1", "v2", "v3"]
 _ARRAY = "garr"
@@ -162,3 +170,49 @@ def test_random_programs_unoptimised_equals_optimised(source):
                        mem_words=4096)
     assert optimised.result == plain.result
     assert optimised.read_global(_ARRAY) == plain.read_global(_ARRAY)
+
+
+#: The corpus: fixed and derandomised, unless the wide profile is loaded.
+_CROSS_ENGINE = (
+    settings.default
+    if settings.default is settings.get_profile("cross-engine-wide")
+    else settings(max_examples=30, derandomize=True, deadline=None)
+)
+
+
+@_CROSS_ENGINE
+@given(programs(), st.sampled_from([1, 4]), st.integers(1, 8),
+       st.integers(0, 99))
+def test_random_programs_agree_across_engines(source, n_alus, cap,
+                                              pause_percent):
+    # Hotness 1 compiles a trace at every taken-branch target, and caps
+    # of 1-8 bundles cut chains mid-block, so linked traces, cap-cut
+    # chains and trimmed chains all form on these small programs.
+    config = epic_with_alus(n_alus)
+    compilation = compile_minic_to_epic(source, config)
+    base = compilation.symbols[_ARRAY]
+
+    def machine():
+        return EpicProcessor(config, compilation.program, mem_words=4096,
+                             trace_hotness=1, trace_cap=cap)
+
+    def observe(cpu):
+        return (stats_fingerprint(cpu.stats), cpu.gpr.read(2),
+                [cpu.memory.read(base + i) for i in range(_ARRAY_SIZE)])
+
+    reference = machine()
+    reference.run(max_cycles=2_000_000, engine="reference")
+    expected = observe(reference)
+    pause_at = 1 + reference.stats.cycles * pause_percent // 100
+    for engine in ("fast", "trace"):
+        cpu = machine()
+        cpu.run(max_cycles=2_000_000, engine=engine)
+        assert cpu.last_engine == engine
+        assert observe(cpu) == expected, engine
+        # Paused at a drawn cycle, then resumed to the end.
+        cpu = machine()
+        result = cpu.run(max_cycles=2_000_000, engine=engine,
+                         until_cycle=pause_at)
+        while not result.halted:
+            result = cpu.run(max_cycles=2_000_000, engine=engine)
+        assert observe(cpu) == expected, (engine, pause_at)

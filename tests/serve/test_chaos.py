@@ -153,14 +153,28 @@ class TestDifferentialGate:
         log = ChaosLog()
         specs = chaos_smoke_jobs(alus=(1,), campaign_n=4,
                                  campaign_shards=2, seed=1)
+        rates = {"kill_rate": 0.5, "hang_rate": 0.25, "corrupt_rate": 0.5}
         # Chaos draws key on job digests, which change with the spec
-        # schema version: under v3, seed 7 corrupts all five records
-        # and leaves the replay nothing to hit.
+        # schema and config digests; ``ChaosMonkey._draw`` is pure, so
+        # pick the first seed whose draws corrupt some records but not
+        # all (the replay needs hits) and fault at least one worker.
+        digests = [spec.digest() for spec in specs]
+
+        def exercises_every_path(seed):
+            monkey = ChaosMonkey(seed=seed, **rates)
+            corrupted = [monkey._draw("corrupt", digest)
+                         < rates["corrupt_rate"] for digest in digests]
+            faulted = [monkey._draw("worker", digest, 1)
+                       < rates["kill_rate"] + rates["hang_rate"]
+                       for digest in digests]
+            return any(corrupted) and not all(corrupted) and any(faulted)
+
+        seed = next(seed for seed in range(1, 1000)
+                    if exercises_every_path(seed))
         report = self.run_bounded(
             lambda: run_chaos_differential(
-                specs, str(tmp_path / "cache"), seed=8,
-                kill_rate=0.5, hang_rate=0.25, corrupt_rate=0.5,
-                heartbeat=0.05, watchdog=1.0, log=log),
+                specs, str(tmp_path / "cache"), seed=seed,
+                heartbeat=0.05, watchdog=1.0, log=log, **rates),
             max_seconds=180)
         assert report["identical"]
         assert report["faulted_jobs"] > 0, \
