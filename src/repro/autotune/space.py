@@ -17,13 +17,12 @@ paper's customisation flow does.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig
 from repro.errors import ConfigError, TuneError
+from repro.store import canonical_digest
 from repro.workloads import WorkloadSpec, XorShift32
 
 #: Latency classes a latency axis may range over (mirrors the config
@@ -205,15 +204,12 @@ class SearchSpace:
         Two spaces with the same fingerprint index the same candidates,
         which is what resuming a search from a report artifact needs.
         """
-        payload = {
+        return canonical_digest({
             "base": self.base.canonical(),
             "axes": [{"name": axis.name,
                       "values": [repr(v) for v in axis.values]}
                      for axis in self.axes],
-        }
-        rendered = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":"))
-        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        })
 
     def describe(self) -> str:
         parts = [f"{axis.name}({len(axis.values)})" for axis in self.axes]

@@ -21,12 +21,11 @@ compiler, assembler, simulator and FPGA model.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Tuple
 
 from repro.errors import ConfigError
+from repro.store import canonical_digest
 
 #: Version of the :meth:`MachineConfig.canonical` schema.  Bump whenever
 #: a field is added, removed, or its canonical rendering changes — the
@@ -304,9 +303,7 @@ class MachineConfig:
         (:mod:`repro.serve`): equal digests guarantee the simulator,
         compiler and FPGA model see the same machine.
         """
-        rendered = json.dumps(self.canonical(), sort_keys=True,
-                              separators=(",", ":"))
-        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        return canonical_digest(self.canonical())
 
     def describe(self) -> str:
         """One-line human-readable summary, used by tools and reports."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.isa.bundle import Bundle
+from repro.isa.bundle import Bundle, Program
 from repro.isa.opcodes import FuClass, OpcodeTable
 from repro.isa.operands import Btr, Lit, Pred, Reg
 from repro.isa.semantics import ALU_SEMANTICS, CMP_SEMANTICS
@@ -207,3 +207,20 @@ def predecode_bundle(bundle: Bundle, mdes: Mdes, address: int) -> PreBundle:
     return PreBundle(ops=ops, n_mem=n_mem,
                      gpr_read_set=tuple(sorted(read_set)), n_real=n_real,
                      source=bundle)
+
+
+def predecode_program(program: Program, mdes: Mdes) -> List[PreBundle]:
+    """``program``'s predecoded bundles, memoised on the program like the
+    fast path's code generation, keyed by the configuration's
+    :meth:`~repro.config.MachineConfig.digest`.  A program that fails to
+    predecode is not memoised: it raises on every call.
+    """
+    memo = program.__dict__.setdefault("_predecoded", {})
+    key = mdes.config.digest()
+    bundles = memo.get(key)
+    if bundles is None:
+        bundles = memo[key] = [
+            predecode_bundle(bundle, mdes, address)
+            for address, bundle in enumerate(program.bundles)
+        ]
+    return bundles

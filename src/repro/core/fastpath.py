@@ -71,7 +71,6 @@ go through the parity-checking accessors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -589,15 +588,14 @@ def _generated_code(machine) -> _Generated:
     """Codegen for ``machine``'s program, cached on the program object.
 
     Generation and ``compile()`` depend only on the program, the
-    machine configuration (keyed by its canonical rendering, like the
-    serve result cache) and the memory size — not on the machine
+    machine configuration (keyed by its digest, like every other
+    config-keyed cache) and the memory size — not on the machine
     instance — so fault-injection harnesses that build many processors
     for one program pay for code generation once.  Ineligibility is
     cached too, as the rejection reason.
     """
     program = machine.program
-    key = (json.dumps(machine.config.canonical(), sort_keys=True),
-           len(machine.memory))
+    key = (machine.config.digest(), len(machine.memory))
     cache = program.__dict__.setdefault("_fastpath_codegen", {})
     hit = cache.get(key)
     if hit is not None:

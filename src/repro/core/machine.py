@@ -94,7 +94,6 @@ class EpicProcessor:
 
     def __init__(self, config: MachineConfig, program: Program,
                  mem_words: int = DEFAULT_MEM_WORDS,
-                 mdes: Optional[Mdes] = None,
                  strict_nual: bool = False,
                  injector=None,
                  trace_hotness: int = 16,
@@ -108,7 +107,7 @@ class EpicProcessor:
         #: on reading old values and should leave it off.
         self.strict_nual = strict_nual
         self.config = config
-        self.mdes = mdes if mdes is not None else Mdes(config)
+        self.mdes = Mdes(config)
         self.program = program
         self.gpr = GprFile(config.n_gprs, config.datapath_width)
         self.pred = PredFile(config.n_preds)
@@ -120,10 +119,7 @@ class EpicProcessor:
             )
         self.memory = DataMemory(mem_words, program.data, config.datapath_width)
         self.stats = SimStats()
-        self._bundles = [
-            dec.predecode_bundle(bundle, self.mdes, address)
-            for address, bundle in enumerate(program.bundles)
-        ]
+        self._bundles = dec.predecode_program(program, self.mdes)
         self._mask = config.mask
         self._width = config.datapath_width
         #: Architectural traps recorded under the non-halting policies.

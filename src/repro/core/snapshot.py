@@ -52,17 +52,16 @@ cycle count.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.stats import SimStats
 from repro.errors import SimulationError, TrapError
+from repro.store import RecordStore, canonical_digest
 
 #: Version of the on-disk checkpoint record schema; a mismatch
 #: invalidates (a stale stream must never be restored as fresh).
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: One serialised trap: (message, cause, cycle, pc, slot).
 TrapTuple = Tuple[str, str, int, int, int]
@@ -343,108 +342,47 @@ def _base_image(config, program, mem_words: int) -> List[int]:
     return base
 
 
-class CheckpointStore:
+class CheckpointStore(RecordStore):
     """Content-addressed on-disk store of golden checkpoint streams.
 
-    Keyed like :class:`repro.serve.cache.ResultCache`: the machine
-    configuration's canonical digest, the program's content identity,
-    the memory size, the checkpoint interval, and the repro code salt.
-    A record whose salt or schema no longer matches is invalidated on
-    read — a stale golden stream must never fast-forward a campaign.
-
-    Layout mirrors the result cache: one JSON record per stream under
-    ``<root>/<digest[:2]>/<digest>.json``, written atomically.
+    A :class:`~repro.store.RecordStore`, like the serve result cache,
+    keyed by the machine configuration's canonical form, the program's
+    content identity, the memory size and the checkpoint interval; the
+    store checks the code salt, so a stale golden stream never
+    fast-forwards a campaign.
     """
 
     def __init__(self, root: str, salt: Optional[str] = None):
-        self.root = root
-        if salt is None:
-            try:
-                from repro.serve.cache import code_salt
-
-                salt = code_salt()
-            except Exception:  # pragma: no cover - partial checkout
-                salt = "unsalted"
-        self.salt = salt
-        self.stats = {"hits": 0, "misses": 0, "puts": 0, "invalidations": 0}
-        os.makedirs(self.root, exist_ok=True)
-
-    # -- keying --------------------------------------------------------
+        super().__init__(root, CHECKPOINT_SCHEMA_VERSION, salt)
 
     def key(self, config, program, mem_words: int, interval: int) -> str:
-        canonical = {
+        return canonical_digest({
             "schema": CHECKPOINT_SCHEMA_VERSION,
             "config": config.canonical(),
             "program": program_digest(config, program),
             "mem_words": mem_words,
             "interval": interval,
-        }
-        rendered = json.dumps(canonical, sort_keys=True,
-                              separators=(",", ":"))
-        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-
-    def path_for(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".json")
-
-    # -- lookup --------------------------------------------------------
+        })
 
     def get(self, config, program, mem_words: int,
             interval: int) -> Optional[CheckpointStream]:
-        digest = self.key(config, program, mem_words, interval)
-        path = self.path_for(digest)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            self.stats["misses"] += 1
+        payload = self.read(self.key(config, program, mem_words, interval))
+        if payload is None:
             return None
-        except (OSError, json.JSONDecodeError):
-            self._invalidate(path)
-            return None
-        if (not isinstance(record, dict)
-                or record.get("schema") != CHECKPOINT_SCHEMA_VERSION
-                or record.get("salt") != self.salt
-                or record.get("key") != digest
-                or "snapshots" not in record):
-            self._invalidate(path)
-            return None
-        self.stats["hits"] += 1
         base = _base_image(config, program, mem_words)
         return CheckpointStream(
-            interval=record["interval"],
-            reference_cycles=record["reference_cycles"],
+            interval=payload["interval"],
+            reference_cycles=payload["reference_cycles"],
             snapshots=[CoreSnapshot.from_payload(entry, base)
-                       for entry in record["snapshots"]],
+                       for entry in payload["snapshots"]],
         )
-
-    def _invalidate(self, path: str) -> None:
-        self.stats["invalidations"] += 1
-        self.stats["misses"] += 1
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - already gone / read-only
-            pass
-
-    # -- store ---------------------------------------------------------
 
     def put(self, config, program, mem_words: int,
             stream: CheckpointStream) -> None:
-        digest = self.key(config, program, mem_words, stream.interval)
-        path = self.path_for(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         base = _base_image(config, program, mem_words)
-        record = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
-            "salt": self.salt,
-            "key": digest,
+        self.write(self.key(config, program, mem_words, stream.interval), {
             "interval": stream.interval,
             "reference_cycles": stream.reference_cycles,
             "snapshots": [snap.to_payload(base)
                           for snap in stream.snapshots],
-        }
-        temporary = path + f".tmp.{os.getpid()}"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(temporary, path)
-        self.stats["puts"] += 1
+        })

@@ -76,8 +76,8 @@ program (object identity) under the same machine configuration
 (:meth:`~repro.config.MachineConfig.digest`) and memory size: a
 :class:`TraceCache` stores the generated source (compiled once) plus
 its static tables, and re-binds per-machine state at instantiation.
-Records carry the repro code salt (:func:`repro.serve.cache.code_salt`)
-so cached traces are dropped whenever the simulator source changes.
+Records live only in memory, for the life of the process that compiled
+them, so they never outlive the simulator source they came from.
 """
 
 from __future__ import annotations
@@ -109,25 +109,6 @@ _WRITER_KINDS = frozenset({
     dec.K_ALU, dec.K_CUSTOM, dec.K_MOVI, dec.K_CMP, dec.K_LOAD,
     dec.K_LOAD_SPEC, dec.K_PBR, dec.K_MOVGBP, dec.K_BRL,
 })
-
-
-_salt_cache: List[Optional[str]] = []
-
-
-def _current_salt() -> Optional[str]:
-    """The repro code salt, or ``None`` outside a full checkout.
-
-    Memoised: the first call imports :mod:`repro.serve` and hashes the
-    source tree, which is far too slow to repeat per trace compile.
-    """
-    if not _salt_cache:
-        try:
-            from repro.serve.cache import code_salt
-        except Exception:
-            _salt_cache.append(None)
-        else:
-            _salt_cache.append(code_salt())
-    return _salt_cache[0]
 
 
 def _issue_offsets(machine, pcs: List[int], follow,
@@ -180,10 +161,10 @@ class _TraceCode:
 
     __slots__ = ("entry_pc", "pcs", "name", "source", "compiled",
                  "offsets", "o_last", "exit_static", "trap_info",
-                 "fn_refs", "uses", "n_exits", "program", "salt")
+                 "fn_refs", "uses", "n_exits", "program")
 
     def __init__(self, entry_pc, pcs, name, source, offsets, o_last,
-                 exit_static, trap_info, fn_refs, uses, program, salt):
+                 exit_static, trap_info, fn_refs, uses, program):
         self.entry_pc = entry_pc
         self.pcs = pcs
         self.name = name
@@ -198,7 +179,6 @@ class _TraceCode:
         self.uses = uses
         self.n_exits = len(exit_static)
         self.program = program
-        self.salt = salt
 
 
 class _TraceRuntime:
@@ -222,29 +202,20 @@ class TraceCache:
 
     Keyed by entry PC + :meth:`MachineConfig.digest` + memory size,
     with the program checked by object identity (the generated source
-    inlines bundle shapes) and the repro code salt checked so a source
-    change invalidates every record.
+    inlines bundle shapes).
     """
 
     def __init__(self) -> None:
         self._records: Dict[tuple, _TraceCode] = {}
         self.compiles = 0
         self.hits = 0
-        self.invalidations = 0
 
     def _key(self, machine, entry_pc: int) -> tuple:
         return (entry_pc, machine.config.digest(), len(machine.memory))
 
     def get(self, machine, entry_pc: int) -> Optional[_TraceCode]:
-        key = self._key(machine, entry_pc)
-        record = self._records.get(key)
-        if record is None:
-            return None
-        if record.program is not machine.program:
-            return None
-        if record.salt != _current_salt():
-            del self._records[key]
-            self.invalidations += 1
+        record = self._records.get(self._key(machine, entry_pc))
+        if record is None or record.program is not machine.program:
             return None
         self.hits += 1
         return record
@@ -262,20 +233,19 @@ class TraceCache:
         """
         digest = machine.config.digest()
         n_words = len(machine.memory)
-        salt = _current_salt()
         records = [
             record
             for (pc, config_digest, mem_words), record
             in self._records.items()
             if config_digest == digest and mem_words == n_words
-            and record.program is machine.program and record.salt == salt
+            and record.program is machine.program
         ]
         self.hits += len(records)
         return records
 
     def stats(self) -> Dict[str, int]:
         return {"traces": len(self._records), "compiles": self.compiles,
-                "hits": self.hits, "invalidations": self.invalidations}
+                "hits": self.hits}
 
 
 class _TraceBuilder(_Coder):
@@ -645,7 +615,7 @@ class _TraceBuilder(_Coder):
 
     # -- assembly -------------------------------------------------------
 
-    def build(self, name: str, salt: Optional[str]) -> _TraceCode:
+    def build(self, name: str) -> _TraceCode:
         body: List[str] = []
         trap_bundles: List[int] = []
         for k, pc in enumerate(self.pcs):
@@ -736,7 +706,6 @@ class _TraceBuilder(_Coder):
             o_last=self.offsets[-1], exit_static=self.exit_static,
             trap_info=trap_info, fn_refs=self.fn_refs,
             uses=sorted(self.used), program=self.machine.program,
-            salt=salt,
         )
 
 
@@ -936,7 +905,7 @@ class TraceSim:
                 self._blacklist.add(entry_pc)
                 return
             builder = _TraceBuilder(machine, self._fastsim, pcs, follow)
-            code = builder.build(f"_t{entry_pc}", salt=_current_salt())
+            code = builder.build(f"_t{entry_pc}")
             if self._cache is not None:
                 self._cache.put(machine, entry_pc, code)
         self._traces[entry_pc] = self._instantiate(code)

@@ -248,9 +248,7 @@ class VectorEngine:
         self._base_mem = [word & mask for word in program.data]
         self._base_mem.extend([0] * (mem_words - len(self._base_mem)))
 
-        self._mdes = Mdes(config)
-        self._bundles = [dec.predecode_bundle(bundle, self._mdes, address)
-                         for address, bundle in enumerate(program.bundles)]
+        self._bundles = dec.predecode_program(program, Mdes(config))
 
     # -- fault triage ------------------------------------------------------
 

@@ -141,7 +141,7 @@ class CompileCache:
 
     def trace_stats(self) -> Dict[str, int]:
         """Aggregated :meth:`TraceCache.stats` across all pairs."""
-        totals = {"traces": 0, "compiles": 0, "hits": 0, "invalidations": 0}
+        totals = {"traces": 0, "compiles": 0, "hits": 0}
         for cache in self._trace_caches.values():
             for key, value in cache.stats().items():
                 totals[key] += value

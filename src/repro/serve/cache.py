@@ -1,218 +1,42 @@
-"""Content-addressed on-disk result cache.
-
-Layout: one JSON record per result under the cache root, sharded by
-the first two hex digits of the job digest::
-
-    <root>/
-      ab/
-        ab3f...e1.json     # record for job digest ab3f...e1
-
-Each record stores the schema version, the code-version salt it was
-computed under, the job's canonical description (for debuggability and
-`repro-serve verify`), and the deterministic result payload.  A record
-whose salt or schema no longer matches is *invalidated* on read:
-counted, deleted, and treated as a miss — a stale result must never be
-replayed as fresh.
-
-The **code salt** hashes every ``*.py`` source file of the installed
-:mod:`repro` package, so any code change — a timing-model tweak, a
-scheduler fix — automatically invalidates all cached results.  That is
-deliberately aggressive: correctness of replayed results is worth more
-than cache longevity.
+"""Content-addressed on-disk result cache: a :class:`~repro.store.RecordStore`
+keyed by job digest, whose records also carry the job's canonical
+description (for debuggability and `repro-serve verify`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.errors import ServeError
 from repro.serve.jobspec import JobSpec
+from repro.store import CacheStats, RecordStore, code_salt
+
+__all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache", "code_salt"]
 
 #: Version of the on-disk record schema; a mismatch invalidates.
-CACHE_SCHEMA_VERSION = 1
-
-_code_salt_cache: Optional[str] = None
+CACHE_SCHEMA_VERSION = 2
 
 
-def code_salt() -> str:
-    """Digest of the repro package's source tree (memoised).
-
-    Stable across processes and platforms for identical sources: files
-    are hashed in sorted relative-path order with their contents.
-    """
-    global _code_salt_cache
-    if _code_salt_cache is None:
-        import repro
-
-        package_root = os.path.dirname(os.path.abspath(repro.__file__))
-        digest = hashlib.sha256()
-        for directory, _, filenames in sorted(os.walk(package_root)):
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(directory, filename)
-                relative = os.path.relpath(path, package_root)
-                digest.update(relative.replace(os.sep, "/").encode())
-                digest.update(b"\x00")
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-                digest.update(b"\x00")
-        _code_salt_cache = digest.hexdigest()
-    return _code_salt_cache
-
-
-@dataclass
-class CacheStats:
-    """Read/write accounting for one :class:`ResultCache` session.
-
-    ``invalidations`` counts every record deleted on read;
-    ``corrupt`` is the subset caused by *corruption* (truncated or
-    unparsable records — e.g. a worker killed mid-``put`` on a
-    filesystem without atomic replace) as opposed to salt/schema/digest
-    mismatches, which are expected whenever the code changes.  A
-    non-zero ``corrupt`` under the atomic writer points at real
-    storage trouble and is worth alerting on.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    invalidations: int = 0
-    corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "invalidations": self.invalidations,
-            "corrupt": self.corrupt,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-class ResultCache:
+class ResultCache(RecordStore):
     """Content-addressed store of deterministic job results."""
 
     def __init__(self, root: str, salt: Optional[str] = None):
-        self.root = root
-        self.salt = code_salt() if salt is None else salt
-        self.stats = CacheStats()
-        os.makedirs(self.root, exist_ok=True)
-
-    # -- paths ---------------------------------------------------------
-
-    def path_for(self, digest: str) -> str:
-        return os.path.join(self.root, digest[:2], digest + ".json")
-
-    # -- lookup --------------------------------------------------------
+        super().__init__(root, CACHE_SCHEMA_VERSION, salt)
 
     def get(self, spec: JobSpec) -> Optional[Dict[str, object]]:
         """The cached payload for ``spec``, or None (miss/invalidated)."""
-        return self.peek(spec.digest())
+        return self.read(spec.digest())
 
     def peek(self, digest: str) -> Optional[Dict[str, object]]:
-        """The payload stored under a raw ``digest``, or None.
+        """The payload stored under a raw job ``digest``, or None.
 
-        Same validation path as :meth:`get` — a record that cannot be
-        parsed (corruption), or whose schema/salt/digest no longer
-        match, is invalidated and reported as a miss.  This is the
-        daemon's cache-peek endpoint: clients hold job digests, not
-        specs.
+        This is the daemon's cache-peek endpoint: clients hold job
+        digests, not specs.
         """
-        path = self.path_for(digest)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, ValueError):
-            # Unparsable bytes: a truncated or garbled record, not a
-            # version mismatch.
-            self._invalidate(path, corrupt=True)
-            return None
-        if not isinstance(record, dict) or "payload" not in record:
-            self._invalidate(path, corrupt=True)
-            return None
-        if (record.get("schema") != CACHE_SCHEMA_VERSION
-                or record.get("salt") != self.salt
-                or record.get("digest") != digest):
-            self._invalidate(path)
-            return None
-        self.stats.hits += 1
-        return record["payload"]
-
-    def _invalidate(self, path: str, corrupt: bool = False) -> None:
-        self.stats.invalidations += 1
-        if corrupt:
-            self.stats.corrupt += 1
-        self.stats.misses += 1
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - already gone / read-only
-            pass
-
-    # -- store ---------------------------------------------------------
+        return self.read(digest)
 
     def put(self, spec: JobSpec, payload: Dict[str, object]) -> None:
-        """Store a deterministic result payload for ``spec``.
-
-        Writes are crash-safe: the record is rendered into a
-        process-private temp file, flushed and fsynced, then moved onto
-        the final path with atomic ``os.replace``.  A worker killed at
-        any instant therefore leaves either the old record, the new
-        record, or a stray ``*.tmp.<pid>`` file no reader ever looks
-        at — never a truncated record on the live path.
-        """
+        """Store a deterministic result payload for ``spec``."""
         if payload is None:
             raise ServeError("refusing to cache an empty payload")
-        digest = spec.digest()
-        path = self.path_for(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        record = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "salt": self.salt,
-            "digest": digest,
-            "job": spec.canonical(),
-            "payload": payload,
-        }
-        temporary = path + f".tmp.{os.getpid()}"
-        try:
-            with open(temporary, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, path)
-        except BaseException:
-            try:
-                os.remove(temporary)
-            except OSError:
-                pass
-            raise
-        self.stats.puts += 1
-
-    # -- inspection ----------------------------------------------------
-
-    def digests(self) -> Iterator[str]:
-        """Digests of every record currently on disk."""
-        for directory, _, filenames in os.walk(self.root):
-            for filename in sorted(filenames):
-                if filename.endswith(".json"):
-                    yield filename[:-len(".json")]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.digests())
+        self.write(spec.digest(), payload, job=spec.canonical())

@@ -69,6 +69,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.executors import JobOutcome, run_jobs
 from repro.serve.jobspec import JobSpec
 from repro.serve.supervisor import SupervisedPool
+from repro.store import write_json
 
 #: Version of the daemon's wire and spool formats.
 DAEMON_VERSION = 1
@@ -78,23 +79,6 @@ _BATCH_ID = re.compile(r"^b\d{6,}$")
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
 STATE_DONE = "done"
-
-
-def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    temporary = path + f".tmp.{os.getpid()}"
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
-    except BaseException:
-        try:
-            os.remove(temporary)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -302,7 +286,7 @@ class ServeDaemon:
             batch = _Batch(batch_id, client, specs)
             # Spool before acknowledging: an accepted batch survives
             # any crash from here on.
-            _atomic_write_json(self._batch_path(batch_id), {
+            write_json(self._batch_path(batch_id), {
                 "version": DAEMON_VERSION,
                 "batch": batch_id,
                 "client": client,
@@ -417,7 +401,7 @@ class ServeDaemon:
         with self._lock:
             batch.state = STATE_DONE
             stream = list(batch.stream)
-        _atomic_write_json(self._done_path(batch.batch_id), {
+        write_json(self._done_path(batch.batch_id), {
             "version": DAEMON_VERSION,
             "batch": batch.batch_id,
             "results": stream,
@@ -777,7 +761,7 @@ def main(argv=None) -> int:
         return 1
 
     if arguments.ready_file:
-        _atomic_write_json(arguments.ready_file, {
+        write_json(arguments.ready_file, {
             "port": daemon.port, "pid": os.getpid(),
             "spool": arguments.spool,
         })

@@ -26,7 +26,6 @@ meaning different machines.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
@@ -34,6 +33,7 @@ from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 from repro.config import MachineConfig
 from repro.config.machine import AluFeature
 from repro.errors import ServeError
+from repro.store import canonical_digest
 from repro.workloads import WORKLOADS, WorkloadSpec, XorShift32
 
 #: Version of the JobSpec canonical schema; hashed into every digest,
@@ -204,9 +204,7 @@ class JobSpec:
 
     def digest(self) -> str:
         """SHA-256 content digest of :meth:`canonical` (cache key)."""
-        rendered = json.dumps(self.canonical(), sort_keys=True,
-                              separators=(",", ":"))
-        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        return canonical_digest(self.canonical())
 
     @property
     def job_id(self) -> str:

@@ -23,7 +23,6 @@ that importing :mod:`repro.serve` stays cheap and cycle-free.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -195,7 +194,7 @@ def campaign_checker(spec: JobSpec):
     from repro.reliability import LockstepChecker
 
     key = (spec.workload, spec.workload_args,
-           json.dumps(spec.config.canonical(), sort_keys=True),
+           spec.config.digest(),
            spec.watchdog_factor, spec.max_cycles)
     checker = _CHECKER_MEMO.get(key)
     if checker is None:

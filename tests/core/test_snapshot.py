@@ -14,15 +14,18 @@ import pytest
 from repro.backend import compile_minic_to_epic
 from repro.config import epic_config, epic_with_alus
 from repro.core import EpicProcessor
+from repro.asm import assemble
 from repro.core.snapshot import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointStore,
+    CheckpointStream,
     CoreSnapshot,
     capture_checkpoints,
     program_digest,
 )
 from repro.errors import SimulationError
 from repro.reliability import SPACE_GPR, FaultInjector, FaultSpec
+from tests import store_contract
 
 MEM_WORDS = 1 << 12
 
@@ -238,7 +241,7 @@ class TestCheckpointStore:
             config, program, MEM_WORDS, stream)
         fresh = CheckpointStore(str(tmp_path), salt="new")
         assert fresh.get(config, program, MEM_WORDS, 16) is None
-        assert fresh.stats["invalidations"] == 1
+        assert fresh.stats.invalidations == 1
 
     def test_restored_from_disk_resumes_identically(self, parts, tmp_path,
                                                     uninterrupted):
@@ -253,6 +256,38 @@ class TestCheckpointStore:
         cpu.restore(snap)
         result = cpu.run()
         assert observable(cpu, result) == uninterrupted
+
+
+class CheckpointKeys:
+    """Record ``n`` is an empty stream of ``n`` reference cycles, keyed
+    by interval ``n + 1`` on a one-bundle program."""
+
+    config = epic_config()
+    program = assemble("HALT", config)
+
+    def open(self, root, salt):
+        return CheckpointStore(root, salt=salt)
+
+    def put(self, store, n, reference_cycles=None):
+        store.put(self.config, self.program, MEM_WORDS, CheckpointStream(
+            interval=n + 1, snapshots=[],
+            reference_cycles=n if reference_cycles is None
+            else reference_cycles))
+
+    def get(self, store, n):
+        stream = store.get(self.config, self.program, MEM_WORDS, n + 1)
+        return None if stream is None else stream.reference_cycles
+
+    def key(self, store, n):
+        return store.key(self.config, self.program, MEM_WORDS, n + 1)
+
+    def put_unserialisable(self, store, n):
+        self.put(store, n, reference_cycles=object())
+
+
+class TestCheckpointStoreRecords(CheckpointKeys,
+                                 store_contract.RecordContract):
+    pass
 
 
 class TestProgramDigest:

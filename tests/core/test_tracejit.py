@@ -9,7 +9,11 @@ engine — at every hotness threshold and chain cap, including the
 degenerate ones that force a side exit out of every superblock.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -216,6 +220,34 @@ class TestTraceCache:
         config = epic_with_alus(n_alus)
         compilation = compile_minic_to_epic(spec.source, config)
         return spec, config, compilation
+
+    def test_trace_engine_imports_nothing_from_serve(self):
+        # The core layer sits below the serving tier: compiling and
+        # running superblocks must not pull repro.serve into a process.
+        script = textwrap.dedent("""
+            import sys
+            from repro.backend import compile_minic_to_epic
+            from repro.config import epic_config
+            from repro.core import EpicProcessor
+            from repro.core.tracejit import TraceCache
+            from repro.workloads import dct_workload
+
+            spec = dct_workload(8, 8)
+            config = epic_config()
+            program = compile_minic_to_epic(spec.source, config).program
+            cache = TraceCache()
+            EpicProcessor(config, program, mem_words=spec.mem_words,
+                          trace_hotness=2, trace_cache=cache,
+                          ).run(engine="trace")
+            assert cache.stats()["compiles"] > 0
+            print(sorted(name for name in sys.modules
+                         if name.startswith("repro.serve")))
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert result.stdout.strip() == "[]"
 
     def test_second_processor_starts_warm(self):
         cache = TraceCache()

@@ -1,16 +1,41 @@
-"""The content-addressed result cache: hits, misses, invalidation."""
+"""The content-addressed result cache: hits, misses, invalidation.
 
-import json
-import os
+Record-level behaviour is the shared :mod:`tests.store_contract`; this
+module adds the cache's own job keying, payload rules and peek.
+"""
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import JobSpec, ResultCache, code_salt
+from tests import store_contract
 
 
 def probe(seed=0):
     return JobSpec(kind="probe", behavior="ok", seed=seed)
+
+
+class ResultKeys:
+    """Record ``n`` is ``{"value": n}`` under ``probe(n)``."""
+
+    def open(self, root, salt):
+        return ResultCache(root, salt=salt)
+
+    def put(self, store, n):
+        store.put(probe(n), {"value": n})
+
+    def get(self, store, n):
+        payload = store.get(probe(n))
+        return None if payload is None else payload["value"]
+
+    def key(self, store, n):
+        return probe(n).digest()
+
+    def put_unserialisable(self, store, n):
+        class Unserialisable:
+            pass
+
+        store.put(probe(n), {"value": Unserialisable()})
 
 
 @pytest.fixture
@@ -18,106 +43,14 @@ def cache(tmp_path):
     return ResultCache(str(tmp_path / "cache"), salt="test-salt")
 
 
-class TestPutGet:
-    def test_round_trip(self, cache):
-        cache.put(probe(1), {"value": 1})
-        assert cache.get(probe(1)) == {"value": 1}
-        assert cache.stats.hits == 1 and cache.stats.puts == 1
-
-    def test_miss_on_unknown_spec(self, cache):
-        assert cache.get(probe(99)) is None
-        assert cache.stats.misses == 1
-
-    def test_records_shard_by_digest_prefix(self, cache):
-        spec = probe(1)
-        cache.put(spec, {"value": 1})
-        digest = spec.digest()
-        expected = os.path.join(cache.root, digest[:2], digest + ".json")
-        assert os.path.exists(expected)
-
+class TestPutGet(ResultKeys, store_contract.PutGet):
     def test_empty_payload_refused(self, cache):
         with pytest.raises(ServeError):
             cache.put(probe(1), None)
 
-    def test_len_and_digests(self, cache):
-        for seed in range(3):
-            cache.put(probe(seed), {"value": seed})
-        assert len(cache) == 3
-        assert probe(0).digest() in set(cache.digests())
 
-
-class TestInvalidation:
-    def test_salt_mismatch_invalidates_and_deletes(self, tmp_path):
-        root = str(tmp_path / "cache")
-        old = ResultCache(root, salt="old-code")
-        old.put(probe(1), {"value": 1})
-        new = ResultCache(root, salt="new-code")
-        assert new.get(probe(1)) is None
-        assert new.stats.invalidations == 1
-        assert new.stats.misses == 1
-        assert len(new) == 0  # stale record physically removed
-
-    def test_corrupt_record_invalidated(self, cache):
-        spec = probe(1)
-        cache.put(spec, {"value": 1})
-        with open(cache.path_for(spec.digest()), "w") as handle:
-            handle.write("{truncated")
-        assert cache.get(spec) is None
-        assert cache.stats.invalidations == 1
-        assert cache.stats.corrupt == 1
-
-    def test_truncated_record_counted_as_corrupt(self, cache):
-        # Simulate a torn write (power loss mid-record): keep the first
-        # half of the bytes.  Must read as a miss, not an exception.
-        spec = probe(1)
-        cache.put(spec, {"value": 1})
-        path = cache.path_for(spec.digest())
-        size = os.path.getsize(path)
-        with open(path, "r+") as handle:
-            handle.truncate(size // 2)
-        assert cache.get(spec) is None
-        assert cache.stats.corrupt == 1
-        assert not os.path.exists(path)  # quarantined record removed
-        # A recompute-and-put round-trips cleanly afterwards.
-        cache.put(spec, {"value": 1})
-        assert cache.get(spec) == {"value": 1}
-
-    def test_non_dict_record_counted_as_corrupt(self, cache):
-        spec = probe(1)
-        cache.put(spec, {"value": 1})
-        with open(cache.path_for(spec.digest()), "w") as handle:
-            json.dump(["not", "a", "record"], handle)
-        assert cache.get(spec) is None
-        assert cache.stats.corrupt == 1
-
-    def test_salt_mismatch_is_not_corruption(self, tmp_path):
-        root = str(tmp_path / "cache")
-        old = ResultCache(root, salt="old-code")
-        old.put(probe(1), {"value": 1})
-        new = ResultCache(root, salt="new-code")
-        assert new.get(probe(1)) is None
-        assert new.stats.invalidations == 1
-        assert new.stats.corrupt == 0  # well-formed, just stale
-
-    def test_digest_mismatch_invalidated(self, cache):
-        # A record renamed onto the wrong key must not be served.
-        cache.put(probe(1), {"value": 1})
-        wrong = cache.path_for(probe(2).digest())
-        os.makedirs(os.path.dirname(wrong), exist_ok=True)
-        os.replace(cache.path_for(probe(1).digest()), wrong)
-        assert cache.get(probe(2)) is None
-        assert cache.stats.invalidations == 1
-
-    def test_schema_bump_invalidates(self, cache):
-        spec = probe(1)
-        cache.put(spec, {"value": 1})
-        path = cache.path_for(spec.digest())
-        with open(path) as handle:
-            record = json.load(handle)
-        record["schema"] = 0
-        with open(path, "w") as handle:
-            json.dump(record, handle)
-        assert cache.get(spec) is None
+class TestInvalidation(ResultKeys, store_contract.Invalidation):
+    pass
 
 
 class TestPeek:
@@ -132,39 +65,12 @@ class TestPeek:
         assert cache.stats.misses == 1
 
 
-class TestAtomicPut:
-    def test_no_temp_droppings_after_put(self, cache):
-        cache.put(probe(1), {"value": 1})
-        leftovers = [name for _, _, names in os.walk(cache.root)
-                     for name in names if not name.endswith(".json")]
-        assert leftovers == []
-
-    def test_failed_put_leaves_no_partial_record(self, cache):
-        spec = probe(1)
-
-        class Unserialisable:
-            pass
-
-        with pytest.raises(TypeError):
-            cache.put(spec, {"value": Unserialisable()})
-        assert not os.path.exists(cache.path_for(spec.digest()))
-        shard = os.path.dirname(cache.path_for(spec.digest()))
-        if os.path.isdir(shard):
-            assert os.listdir(shard) == []  # temp file cleaned up
-        assert cache.get(spec) is None
+class TestAtomicPut(ResultKeys, store_contract.AtomicPut):
+    pass
 
 
-class TestStats:
-    def test_hit_rate(self, cache):
-        cache.put(probe(1), {"value": 1})
-        cache.get(probe(1))
-        cache.get(probe(2))
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-        rendered = cache.stats.as_dict()
-        assert rendered["hits"] == 1 and rendered["misses"] == 1
-
-    def test_empty_stats_do_not_divide_by_zero(self, cache):
-        assert cache.stats.hit_rate == 0.0
+class TestStats(ResultKeys, store_contract.Stats):
+    pass
 
 
 class TestCodeSalt:
