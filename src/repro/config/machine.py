@@ -301,9 +301,14 @@ class MachineConfig:
 
         Used as the configuration component of result-cache keys
         (:mod:`repro.serve`): equal digests guarantee the simulator,
-        compiler and FPGA model see the same machine.
+        compiler and FPGA model see the same machine.  Computed once
+        per (immutable) configuration.
         """
-        return canonical_digest(self.canonical())
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = canonical_digest(self.canonical())
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def describe(self) -> str:
         """One-line human-readable summary, used by tools and reports."""

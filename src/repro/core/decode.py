@@ -209,16 +209,18 @@ def predecode_bundle(bundle: Bundle, mdes: Mdes, address: int) -> PreBundle:
                      source=bundle)
 
 
-def predecode_program(program: Program, mdes: Mdes) -> List[PreBundle]:
-    """``program``'s predecoded bundles, memoised on the program like the
-    fast path's code generation, keyed by the configuration's
-    :meth:`~repro.config.MachineConfig.digest`.  A program that fails to
-    predecode is not memoised: it raises on every call.
+def predecode_program(program: Program, config) -> List[PreBundle]:
+    """``program``'s predecoded bundles under ``config``, memoised on the
+    program like the fast path's code generation, keyed by the
+    configuration's :meth:`~repro.config.MachineConfig.digest`; the
+    machine description is only built on a memo miss.  A program that
+    fails to predecode is not memoised: it raises on every call.
     """
     memo = program.__dict__.setdefault("_predecoded", {})
-    key = mdes.config.digest()
+    key = config.digest()
     bundles = memo.get(key)
     if bundles is None:
+        mdes = Mdes(config)
         bundles = memo[key] = [
             predecode_bundle(bundle, mdes, address)
             for address, bundle in enumerate(program.bundles)

@@ -12,19 +12,22 @@ This module removes that per-cycle overhead by *pre-specialising* each
 decoded bundle once, at program-load time, into a compact execution
 record: one generated Python function per static bundle with
 
-* operand accessors resolved (literals folded to constants, register
-  reads compiled to direct list indexing),
+* operand accessors resolved (literals folded to constants, ``r0`` to
+  ``0``, register reads compiled to direct list indexing),
 * the per-op ``kind`` dispatch unrolled into straight-line code,
 * the common ALU/CMPP semantics inlined as direct masked expressions
   (``(a + b) & 0xFFFFFFFF`` instead of a call into
-  :mod:`repro.isa.semantics` — operands are invariantly masked, so the
-  results are bit-identical by construction),
-* loads and stores compiled to direct word-array indexing with the
-  bounds check inline (out-of-range addresses fall back to the
+  :mod:`repro.isa.semantics` — register and memory words are
+  invariantly in ``[0, mask]``, so the results are bit-identical by
+  construction and are never re-masked),
+* loads and stores compiled to direct word-array indexing: an
+  in-range address of two literals becomes a constant index with no
+  check, any other takes one compare whose failing branch calls the
   :class:`~repro.core.memory.DataMemory` methods, which raise the
-  architectural trap), and
+  architectural trap, and
 * latencies, destination indices, the read-port set and guard checks
-  (emitted only for non-``p0`` guards) inlined as constants.
+  (emitted only for non-``p0`` guards) inlined as constants; a guarded
+  op's counters become one site counter, bumped when it is taken.
 
 Write-back scheduling replaces the global ``(ready, seq)`` heap with a
 dictionary of per-ready-cycle lists: every write-back latency is at
@@ -56,7 +59,8 @@ it on every benchmarking run.  Two intentional asymmetries exist only
 on *aborted* runs, which neither path completes:
 
 * per-op counters of a bundle whose later operation traps may include
-  statically-hoisted increments for operations after the trap point;
+  statically-hoisted increments for operations after the trap point
+  (a guarded one counts as squashed);
 * the ``halt`` trap policy is required, so a trap always propagates.
 
 Programs the specialiser cannot prove safe (register indices outside
@@ -129,7 +133,8 @@ _CMP_SIGNED = {
     "CMPP_LT": "<", "CMPP_LE": "<=", "CMPP_GT": ">", "CMPP_GE": ">=",
 }
 
-#: Open-coded ALU ops (SHRA, which needs a signed operand, is special).
+#: Open-coded ALU ops (SHRA, which needs a signed operand, is special);
+#: ``{s}`` is the shift amount, already reduced to the datapath width.
 _ALU_INLINE = {
     "ADD": "({a} + {b}) & {mask}",
     "SUB": "({a} - {b}) & {mask}",
@@ -138,8 +143,8 @@ _ALU_INLINE = {
     "OR": "{a} | {b}",
     "XOR": "{a} ^ {b}",
     "ANDCM": "{a} & ~{b}",
-    "SHL": "({a} << ({b} & {shift})) & {mask}",
-    "SHR": "{a} >> ({b} & {shift})",
+    "SHL": "({a} << {s}) & {mask}",
+    "SHR": "{a} >> {s}",
 }
 
 
@@ -163,6 +168,10 @@ def _queue_lines(when: str) -> List[str]:
             f"    _q = PD[{when}] = []"]
 
 
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
 class _OpCode(NamedTuple):
     """One op, described for either engine's code generator to emit.
 
@@ -170,9 +179,10 @@ class _OpCode(NamedTuple):
     raise the op's trap, and only when ``can_trap``).  ``writes`` are
     ``(space, dest, latency, value)`` write-backs (space 0 = GPR,
     1 = predicate, 2 = BTR) whose ``value`` is a literal, a local set
-    by ``lines`` or ``1 - local``.  ``bumps`` are the ``(counts_index,
-    increment)`` pairs an executed op adds.  ``control`` is ``None``,
-    or ``(test, target)`` for a control op: ``test`` is the taken
+    by ``lines`` or ``1 - local``; a GPR value is always in
+    ``[0, mask]``.  ``bumps`` are the ``(counts_index, increment)``
+    pairs an executed op adds.  ``control`` is ``None``, or
+    ``(test, target)`` for a control op: ``test`` is the taken
     condition (``None``: always) and ``target`` the branch-target read
     (``None``: HALT).
     """
@@ -189,25 +199,48 @@ class _Coder:
 
     Register reads go through :meth:`reg` and values are named by
     :meth:`new_var`; the trace compiler overrides both, to read
-    promoted Python locals and to keep each value in a fresh local.
-    ``used`` collects the free names the generated code binds.
+    promoted Python locals and to keep each value in a fresh local, and
+    overrides :meth:`may_trap` to record which bundle raised.  ``used``
+    collects the free names the generated code binds.
+
+    Only what is unknown at generation time is left to run time.  Every
+    register and memory word is in ``[0, mask]`` (each
+    :class:`~repro.core.regfile.GprFile` and
+    :class:`~repro.core.memory.DataMemory` write masks), so values read
+    from them, literals and the open-coded results are never re-masked;
+    only semantics-function results are, once, where they are computed.
+    ``r0`` reads as the literal ``0``, literal shift amounts are reduced
+    here, and an address of two literals is computed here: an in-range
+    one indexes memory directly, with no bounds test and no trap path.
     """
 
     def __init__(self, config, n_words: int):
         self.config = config
         self.mask = config.mask
         self.n_words = n_words
+        #: The datapath sign bit: ``(x ^ H) - H`` is ``x`` signed.
+        self.sign_bit = 1 << (config.datapath_width - 1)
+        #: A wrapped (unsigned) address below this is in range as it
+        #: stands, and every one at or above it is out of range: it is
+        #: either past the memory or negative once signed.
+        self.addr_limit = min(n_words, self.sign_bit)
         self.used: Set[str] = set()
         #: ``(name, pc, slot)`` of every semantics function called.
         self.fn_refs: List[Tuple[str, int, int]] = []
 
     def reg(self, space: int, index: int) -> str:
+        if space == 0 and index == 0:
+            return "0"  # GprFile.write drops every write to r0
         file_name = "GPB"[space]
         self.used.add(file_name)
         return f"{file_name}[{index}]"
 
     def new_var(self) -> str:
         return "_v"
+
+    def may_trap(self, lines: List[str]) -> List[str]:
+        """``lines``, which may raise the op's trap, as emitted."""
+        return lines
 
     def _value(self, lines: List[str], expr: str) -> str:
         """``expr`` itself if it is a literal, else a local holding it."""
@@ -221,37 +254,63 @@ class _Coder:
         """Source operand: literal folded, register read."""
         return repr(payload & self.mask) if lit else self.reg(0, payload)
 
-    def _sign(self, var: str) -> List[str]:
-        """Lines reading the datapath word in ``var`` as two's complement."""
-        width = self.config.datapath_width
-        return [f"if {var} >= {1 << (width - 1)}:",
-                f"    {var} -= {1 << width}"]
+    def _sign(self, expr: str) -> str:
+        """The datapath word ``expr`` read as two's complement."""
+        return f"(({expr} ^ {self.sign_bit}) - {self.sign_bit})"
 
-    def _signed(self, lit: bool, payload: int,
-                var: str) -> Tuple[List[str], str]:
-        """Prelude lines + expression for a two's-complement operand."""
-        if lit:
-            width = self.config.datapath_width
-            return [], repr(to_signed(payload & self.mask, width))
-        return [f"{var} = {self.reg(0, payload)}"] + self._sign(var), var
+    def _signed(self, lit: bool, payload: int) -> str:
+        """A source operand read as two's complement."""
+        operand = self._src(lit, payload)
+        if operand.isdigit():
+            return repr(to_signed(int(operand),
+                                  self.config.datapath_width))
+        return self._sign(operand)
 
-    def _addr(self, op, var: str) -> List[str]:
-        """Effective address: wrap onto the datapath, then sign."""
+    def _shift(self, lit: bool, payload: int) -> str:
+        """A shift-amount operand, reduced to the datapath width."""
+        amount = self._src(lit, payload)
+        shift = self.config.datapath_width - 1
+        if amount.isdigit():
+            return repr(int(amount) & shift)
+        return f"({amount} & {shift})"
+
+    def _addr(self, op) -> Tuple[str, bool]:
+        """``(address, static)``: the effective address wrapped onto the
+        datapath but not signed, and whether it is a literal known to be
+        in range.  An out-of-range literal address stays dynamic code,
+        so its trap is raised at run time as before.
+        """
         base = self._src(op.s1_lit, op.s1)
         offset = self._src(op.s2_lit, op.s2)
-        return ([f"{var} = ({base} + {offset}) & {self.mask}"]
-                + self._sign(var))
+        if base.isdigit() and offset.isdigit():
+            address = to_signed((int(base) + int(offset)) & self.mask,
+                                self.config.datapath_width)
+            if 0 <= address < self.n_words:
+                return repr(address), True
+        if offset == "0":
+            return base, False
+        if base == "0":
+            return offset, False
+        return f"({base} + {offset}) & {self.mask}", False
 
-    def _call(self, op, pc: int, slot: int, third: int) -> str:
-        """A call of the op's semantics function (DIV/REM/MIN/MAX, custom)."""
+    def _call(self, op, pc: int, slot: int, third: int,
+              lines: List[str], masked: bool) -> str:
+        """A local holding the op's semantics-function result
+        (DIV/REM/MIN/MAX, custom); ``masked`` wraps a GPR result onto
+        the datapath."""
         name = f"F{pc}_{slot}"
         self.used.add(name)
         self.fn_refs.append((name, pc, slot))
         a = self._src(op.s1_lit, op.s1)
         b = self._src(op.s2_lit, op.s2)
-        return f"{name}({a}, {b}, {third})"
+        expr = f"{name}({a}, {b}, {third})"
+        if masked:
+            expr += f" & {self.mask}"
+        var = self.new_var()
+        lines += self.may_trap([f"{var} = {expr}"])
+        return var
 
-    def _alu_inline(self, op) -> Optional[Tuple[List[str], str]]:
+    def _alu_inline(self, op) -> Optional[str]:
         """Open-coded expression for a built-in ALU op, if one exists.
 
         Register values and folded literals are invariantly in
@@ -261,28 +320,26 @@ class _Coder:
         range).
         """
         if op.mnemonic == "SHRA":
-            pre, signed_a = self._signed(op.s1_lit, op.s1, "_x")
-            b = self._src(op.s2_lit, op.s2)
-            shift = self.config.datapath_width - 1
-            return pre, f"({signed_a} >> ({b} & {shift})) & {self.mask}"
+            return (f"({self._signed(op.s1_lit, op.s1)} >> "
+                    f"{self._shift(op.s2_lit, op.s2)}) & {self.mask}")
         template = _ALU_INLINE.get(op.mnemonic)
         if template is None:
             return None  # DIV/REM/MIN/MAX stay on the semantics call
-        return [], template.format(
+        return template.format(
             a=self._src(op.s1_lit, op.s1), b=self._src(op.s2_lit, op.s2),
-            mask=self.mask, shift=self.config.datapath_width - 1)
+            s=self._shift(op.s2_lit, op.s2), mask=self.mask)
 
-    def _cmp_inline(self, op) -> Optional[Tuple[List[str], str]]:
+    def _cmp_inline(self, op) -> Optional[str]:
         """Open-coded 0/1 expression for a built-in CMPP op, if one exists."""
         mnemonic = op.mnemonic
         if mnemonic in _CMP_UNSIGNED:
             a = self._src(op.s1_lit, op.s1)
             b = self._src(op.s2_lit, op.s2)
-            return [], f"{a} {_CMP_UNSIGNED[mnemonic]} {b}"
+            return f"{a} {_CMP_UNSIGNED[mnemonic]} {b}"
         if mnemonic in _CMP_SIGNED:
-            pre_a, a = self._signed(op.s1_lit, op.s1, "_x")
-            pre_b, b = self._signed(op.s2_lit, op.s2, "_y")
-            return pre_a + pre_b, f"{a} {_CMP_SIGNED[mnemonic]} {b}"
+            a = self._signed(op.s1_lit, op.s1)
+            b = self._signed(op.s2_lit, op.s2)
+            return f"{a} {_CMP_SIGNED[mnemonic]} {b}"
         return None
 
     def op_code(self, op, pc: int, slot: int) -> _OpCode:
@@ -311,8 +368,9 @@ class _Coder:
 
         if kind in (dec.K_ALU, dec.K_CUSTOM):
             _check_index(op.d1, n_gprs, "GPR destination")
-            expr = self._src(op.s1_lit, op.s1)  # MOVE: plain copy of src1
-            if op.fn is not None:
+            if op.fn is None:  # MOVE: plain copy of src1
+                value = self._value(lines, self._src(op.s1_lit, op.s1))
+            else:
                 inline = None
                 if (kind == dec.K_ALU
                         and op.fn is ALU_SEMANTICS.get(op.mnemonic)):
@@ -320,11 +378,11 @@ class _Coder:
                 if inline is None:
                     can_trap = True
                     third = mask if kind == dec.K_CUSTOM else width
-                    expr = self._call(op, pc, slot, third)
+                    value = self._call(op, pc, slot, third, lines,
+                                       masked=True)
                 else:
-                    prelude, expr = inline
-                    lines += prelude
-            writes.append((0, op.d1, op.latency, self._value(lines, expr)))
+                    value = self._value(lines, inline)
+            writes.append((0, op.d1, op.latency, value))
 
         elif kind == dec.K_MOVI:
             _check_index(op.d1, n_gprs, "GPR destination")
@@ -333,46 +391,53 @@ class _Coder:
         elif kind == dec.K_CMP:
             _check_index(op.d1, n_preds, "predicate destination")
             _check_index(op.d2, n_preds, "predicate destination")
-            inline = None
+            condition = None
             if op.fn is CMP_SEMANTICS.get(op.mnemonic):
-                inline = self._cmp_inline(op)
-            if inline is None:
+                condition = self._cmp_inline(op)
+            if condition is None:
                 can_trap = True
-                condition = self._call(op, pc, slot, width)
+                value = self._call(op, pc, slot, width, lines, masked=False)
             else:
-                prelude, condition = inline
-                lines += prelude
-            value = self._value(lines, condition)
+                value = self._value(lines, condition)
             writes += [(1, op.d1, op.latency, value),
                        (1, op.d2, op.latency, f"1 - {value}")]
 
         elif kind in (dec.K_LOAD, dec.K_LOAD_SPEC):
             _check_index(op.d1, n_gprs, "GPR destination")
-            lines += self._addr(op, "_a")
             self.used.add("MEM")
-            if kind == dec.K_LOAD_SPEC:
-                miss = "0"  # dismissible load: bad addresses read as zero
+            address, static = self._addr(op)
+            if static:
+                value = self._value(lines, f"MEM[{address}]")
             else:
-                # In-range reads index the word array directly; anything
-                # else goes through DataMemory.read for the OOB trap.
-                self.used.add("MR")
-                can_trap = True
-                miss = "MR(_a)"
-            value = self._value(
-                lines, f"MEM[_a] if 0 <= _a < {self.n_words} else {miss}")
+                # One compare decides in-range; only the out-of-range
+                # branch signs the address (for the trap's message).
+                value = self.new_var()
+                lines += [f"_a = {address}",
+                          f"if _a < {self.addr_limit}:",
+                          f"    {value} = MEM[_a]",
+                          "else:"]
+                if kind == dec.K_LOAD_SPEC:
+                    # Dismissible load: bad addresses read as zero.
+                    lines.append(f"    {value} = 0")
+                else:
+                    # DataMemory.read raises the OOB load trap.
+                    self.used.add("MR")
+                    can_trap = True
+                    lines += _indent(self.may_trap(
+                        [f"{value} = MR({self._sign('_a')})"]))
             writes.append((0, op.d1, op.latency, value))
             bumps.append((_C_MEMR, 1))
 
         elif kind == dec.K_STORE:
             _check_index(op.d1, n_gprs, "store source")
-            self.used.add("MC")
-            can_trap = True
-            lines += self._addr(op, "_ta") + [
-                f"if not 0 <= _ta < {self.n_words}:",
-                "    MC(_ta)",  # raises the OOB store trap
-                "_sa = _ta",
-                f"_sv = {self.reg(0, op.d1)}",
-            ]
+            address, static = self._addr(op)
+            lines.append(f"_sa = {address}")
+            if not static:
+                self.used.add("MC")
+                can_trap = True
+                lines += [f"if _sa >= {self.addr_limit}:"] + _indent(
+                    self.may_trap([f"MC({self._sign('_sa')})"]))
+            lines.append(f"_sv = {self.reg(0, op.d1)}")
             bumps.append((_C_MEMW, 1))
 
         elif kind == dec.K_PBR:
@@ -410,16 +475,17 @@ class _Coder:
             raise _Ineligible(f"unsupported op kind {kind}")
         return _OpCode(lines, writes, bumps, can_trap, control)
 
-    def guarded(self, guard: int, fu: int, bumps: List[Tuple[int, int]],
-                lines: List[str]) -> List[str]:
-        """``lines`` behind predicate ``guard``, with the op's counters."""
-        self.used.add("C")
-        return ([f"if {self.reg(1, guard)}:",
-                 f"    C[{_C_EXEC}] += 1",
-                 f"    C[{fu}] += 1"]
-                + [f"    C[{index}] += {n}" for index, n in bumps]
-                + ["    " + line for line in lines]
-                + ["else:", f"    C[{_C_SQUASH}] += 1"])
+    def guarded(self, guard: int, site: int, lines: List[str]) -> List[str]:
+        """``lines`` behind predicate ``guard``.
+
+        The op's counters are folded like trace exits: the static tables
+        count it squashed, and a taken op bumps only its site counter
+        ``GC[site]``, which the run loop's fold turns into the executed
+        op's counters (see :func:`_bundle_source`).
+        """
+        self.used.add("GC")
+        return ([f"if {self.reg(1, guard)}:", f"    GC[{site}] += 1"]
+                + _indent(lines))
 
     def store_frame(self, ops) -> Tuple[List[str], List[str]]:
         """Lines before and after a bundle's ops for its buffered store.
@@ -434,21 +500,24 @@ class _Coder:
             # The generated code holds one buffered store in (_sa, _sv).
             raise _Ineligible("more than one store in a bundle")
         self.used.add("MEM")
-        if stores[0].guard:  # G values are pre-masked
+        if stores[0].guard:  # a stored address is never negative
             return ["_sa = -1"], ["if _sa >= 0:", "    MEM[_sa] = _sv"]
         return [], ["MEM[_sa] = _sv"]
 
 
-def _bundle_source(pc: int, bundle, coder: _Coder, fu_slot,
+def _bundle_source(pc: int, bundle, coder: _Coder, fu_slot, guard_site,
                    forwarding: bool) -> Tuple[str, str, List[Tuple[int, int]]]:
     """Generate one bundle's execution function.
 
     Returns ``(name, source, static_counts)``.  ``static_counts`` holds
     the counter increments every execution of the bundle is known to
-    make (ops not behind a guard, NOP slots, the static read set): the
-    run loop only counts *visits* per bundle and multiplies these out
-    at the end, so the generated code carries no bookkeeping for them.
-    Guarded ops keep their increments inline, inside the guard test.
+    make (ops not behind a guard, NOP slots, the static read set, and
+    every guarded op as squashed): the run loop only counts *visits*
+    per bundle and multiplies these out at the end, so the generated
+    code carries no bookkeeping for them.  A taken guarded op bumps one
+    site counter; ``guard_site(pc, slot, pairs)`` allocates it, with
+    the ``pairs`` its taken executions add at the fold (the op's
+    counters, less the squash the statics counted).
     """
     used = coder.used
     body: List[str] = []
@@ -501,7 +570,10 @@ def _bundle_source(pc: int, bundle, coder: _Coder, fu_slot,
                 lines += [f"if {test}:", f"    _tg = {target}"]
         fu_index = fu_slot(op.fu)
         if op.guard:
-            body += coder.guarded(op.guard, fu_index, code.bumps, lines)
+            static[_C_SQUASH] = static.get(_C_SQUASH, 0) + 1
+            site = guard_site(pc, slot, [(_C_EXEC, 1), (fu_index, 1)]
+                              + code.bumps + [(_C_SQUASH, -1)])
+            body += coder.guarded(op.guard, site, lines)
         else:
             for index, k in [(_C_EXEC, 1), (fu_index, 1)] + code.bumps:
                 static[index] = static.get(index, 0) + k
@@ -539,9 +611,14 @@ def specialise(machine) -> Optional["FastSim"]:
 class _Generated:
     """Machine-independent output of the bundle code generator."""
 
+    source: str
     code: object
     names: List[str]
     statics: List[List[Tuple[int, int]]]
+    #: Per guarded-op site: the ``(counts_index, k)`` pairs one taken
+    #: execution adds; ``site_index`` maps ``(pc, slot)`` to the site.
+    site_pairs: List[List[Tuple[int, int]]]
+    site_index: Dict[Tuple[int, int], int]
     counts_len: int
     fu_index: Dict[str, int]
     base_namespace: Dict[str, object]
@@ -560,6 +637,14 @@ def _generate(machine) -> _Generated:
             counts_len += 1
         return fu_index[fu_class]
 
+    site_pairs: List[List[Tuple[int, int]]] = []
+    site_index: Dict[Tuple[int, int], int] = {}
+
+    def guard_site(pc: int, slot: int, pairs) -> int:
+        site_index[(pc, slot)] = len(site_pairs)
+        site_pairs.append(pairs)
+        return site_index[(pc, slot)]
+
     namespace: Dict[str, object] = {}
     names: List[str] = []
     sources: List[str] = []
@@ -569,16 +654,19 @@ def _generate(machine) -> _Generated:
         # generator inlines it into the bounds checks.
         coder = _Coder(config, len(machine.memory))
         name, source, static_counts = _bundle_source(
-            pc, bundle, coder, fu_slot, forwarding=config.forwarding,
+            pc, bundle, coder, fu_slot, guard_site,
+            forwarding=config.forwarding,
         )
         for fn_name, _, slot in coder.fn_refs:
             namespace[fn_name] = bundle.ops[slot].fn
         names.append(name)
         sources.append(source)
         statics.append(static_counts)
-    code = compile("\n\n".join(sources), "<repro.core.fastpath>", "exec")
+    source = "\n\n".join(sources)
+    code = compile(source, "<repro.core.fastpath>", "exec")
     return _Generated(
-        code=code, names=names, statics=statics, counts_len=counts_len,
+        source=source, code=code, names=names, statics=statics, site_pairs=site_pairs,
+        site_index=site_index, counts_len=counts_len,
         fu_index=fu_index, base_namespace=namespace,
         n_mem=[bundle.n_mem for bundle in machine._bundles],
     )
@@ -620,6 +708,7 @@ class FastSim:
         config = machine.config
         generated = _generated_code(machine)
         counts = [0] * (generated.counts_len + _T_SLOTS)
+        guard_counts = [0] * len(generated.site_pairs)
         pending: Dict[int, List[Tuple[int, int, int]]] = {}
         # Shared mutable context the generated functions bind directly
         # (as default arguments, at exec time below): the raw register
@@ -631,6 +720,7 @@ class FastSim:
             B=machine.btr._values,
             RA=[-1] * config.n_gprs,
             C=counts,
+            GC=guard_counts,
             PD=pending,
             MEM=machine.memory._words,
             MR=machine.memory.read,
@@ -643,6 +733,9 @@ class FastSim:
         self._static = generated.statics
         self._n_mem = generated.n_mem
         self._counts = counts
+        self._guard_counts = guard_counts
+        self._site_pairs = generated.site_pairs
+        self._site_index = generated.site_index
         self._t_base = generated.counts_len
         self._fu_index = generated.fu_index
         self._pending = pending
@@ -690,7 +783,6 @@ class FastSim:
         fns = self._fns
         n_mem = self._n_mem
         n_bundles = len(fns)
-        gmask = config.mask
 
         gpr = self._gpr_values
         pred = self._pred_values
@@ -777,7 +869,8 @@ class FastSim:
                 # Write-backs due by now, in (ready, issue-order) order.
                 # Every pending entry is scheduled at or after
                 # ``next_ready``, so scanning forward from it visits each
-                # ready cycle exactly once.
+                # ready cycle exactly once.  GPR values are already in
+                # [0, mask] (see _OpCode), so none is re-masked.
                 writes_landing = 0
                 if pending:
                     while next_ready < cycle:
@@ -786,7 +879,7 @@ class FastSim:
                             for space, index, value in queue:
                                 if space == 0:
                                     if index:
-                                        gpr[index] = value & gmask
+                                        gpr[index] = value
                                     ready_at[index] = next_ready
                                     regfile_writes += 1
                                 elif space == 1:
@@ -800,7 +893,7 @@ class FastSim:
                         for space, index, value in queue:
                             if space == 0:
                                 if index:
-                                    gpr[index] = value & gmask
+                                    gpr[index] = value
                                 ready_at[index] = cycle
                                 regfile_writes += 1
                                 writes_landing += 1
@@ -903,7 +996,8 @@ class FastSim:
             # stats object — also on abnormal exits.  Trace exit
             # counters multiply out their per-exit static tables and
             # per-bundle visit counts the bundles' static counts, which
-            # is what lets the generated code skip them entirely.
+            # is what lets the generated code skip them entirely; taken
+            # guarded-op sites add their executed counters the same way.
             for runtime in runtimes:
                 ex = runtime.ex
                 for j, n in enumerate(ex):
@@ -911,6 +1005,13 @@ class FastSim:
                         for index, k in runtime.exit_static[j]:
                             counts[index] += n * k
                         ex[j] = 0
+            guard_counts = self._guard_counts
+            site_pairs = self._site_pairs
+            for j, n in enumerate(guard_counts):
+                if n:
+                    for index, k in site_pairs[j]:
+                        counts[index] += n * k
+                    guard_counts[j] = 0
             bundles_issued = 0
             statics = self._static
             for i, n in enumerate(visits):
@@ -949,7 +1050,7 @@ class FastSim:
             for space, index, value in pending[ready]:
                 if space == 0:
                     if index:
-                        gpr[index] = value & gmask
+                        gpr[index] = value
                 elif space == 1:
                     if index:
                         pred[index] = 1 if value else 0

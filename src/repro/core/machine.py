@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
@@ -107,7 +108,6 @@ class EpicProcessor:
         #: on reading old values and should leave it off.
         self.strict_nual = strict_nual
         self.config = config
-        self.mdes = Mdes(config)
         self.program = program
         self.gpr = GprFile(config.n_gprs, config.datapath_width)
         self.pred = PredFile(config.n_preds)
@@ -119,7 +119,7 @@ class EpicProcessor:
             )
         self.memory = DataMemory(mem_words, program.data, config.datapath_width)
         self.stats = SimStats()
-        self._bundles = dec.predecode_program(program, self.mdes)
+        self._bundles = dec.predecode_program(program, config)
         self._mask = config.mask
         self._width = config.datapath_width
         #: Architectural traps recorded under the non-halting policies.
@@ -158,6 +158,13 @@ class EpicProcessor:
         self._resume_pc = program.entry
         # Stack grows down from the top of data memory.
         self.gpr.write(1, mem_words)
+
+    @cached_property
+    def mdes(self) -> Mdes:
+        """The machine description, built on first use: predecoding is
+        memoised per program, so only fault injection's fetch
+        corruption still needs it."""
+        return Mdes(self.config)
 
     # -- operand access ----------------------------------------------------
 

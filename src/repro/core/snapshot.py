@@ -226,27 +226,76 @@ class CoreSnapshot:
         }
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, object],
-                     base_mem: List[int]) -> "CoreSnapshot":
+    def from_payload(cls, payload: Dict[str, object], base_mem: List[int],
+                     config) -> "CoreSnapshot":
+        """Inverse of :meth:`to_payload` for a machine of ``config``.
+
+        Raises ``ValueError`` (or ``KeyError``/``TypeError`` on a
+        missing or mistyped field) unless the payload is a state such a
+        machine can hold: register files of the configured sizes,
+        every GPR and memory word in ``[0, mask]`` with ``r0`` zero —
+        the specialised engines rely on that — and memory addresses in
+        range in canonical decimal form.
+        """
+        limit = config.mask + 1
         mem = list(base_mem)
-        for address, word in payload["mem_delta"].items():
-            mem[int(address)] = word
+        delta = payload["mem_delta"]
+        if not isinstance(delta, dict):
+            raise TypeError("memory delta is not a mapping")
+        for address, word in delta.items():
+            index = int(address)
+            if str(index) != address or not 0 <= index < len(mem):
+                raise ValueError(f"memory address {address!r} out of range")
+            mem[index] = _checked_word(word, limit)
+        gpr = _checked_words(payload["gpr"], config.n_gprs, limit, "GPR")
+        if gpr[0]:
+            raise ValueError("r0 holds a non-zero value")
         stats = dict(payload["stats"])
-        stats["fu_busy"] = dict(stats.get("fu_busy", {}))
+        missing = {spec.name for spec in fields(SimStats)} - set(stats)
+        if missing:
+            raise ValueError(f"stats lack {sorted(missing)}")
+        stats["fu_busy"] = dict(stats["fu_busy"])
+        traps = [tuple(trap) for trap in payload["traps"]]
+        if any(len(trap) != 5 for trap in traps):
+            raise ValueError("malformed trap record")
         return cls(
-            cycle=payload["cycle"],
-            pc=payload["pc"],
-            gpr=list(payload["gpr"]),
-            pred=list(payload["pred"]),
-            btr=list(payload["btr"]),
-            gpr_poison=frozenset(payload["gpr_poison"]),
-            pred_poison=frozenset(payload["pred_poison"]),
-            btr_poison=frozenset(payload["btr_poison"]),
+            cycle=_checked_word(payload["cycle"], None),
+            pc=_checked_word(payload["pc"], None),
+            gpr=gpr,
+            pred=_checked_words(payload["pred"], config.n_preds, 2,
+                                "predicate"),
+            btr=_checked_words(payload["btr"], config.n_btrs, None, "BTR"),
+            gpr_poison=_checked_indices(payload["gpr_poison"],
+                                        config.n_gprs),
+            pred_poison=_checked_indices(payload["pred_poison"],
+                                         config.n_preds),
+            btr_poison=_checked_indices(payload["btr_poison"],
+                                        config.n_btrs),
             mem=mem,
-            mem_poison=frozenset(payload["mem_poison"]),
+            mem_poison=_checked_indices(payload["mem_poison"], len(mem)),
             stats=stats,
-            traps=[tuple(trap) for trap in payload["traps"]],
+            traps=traps,
         )
+
+
+def _checked_word(value, limit: Optional[int]) -> int:
+    """``value`` if it is an int in ``[0, limit)`` (``None``: unbounded)."""
+    if type(value) is not int or value < 0 \
+            or (limit is not None and value >= limit):
+        raise ValueError(f"{value!r} is not a word in [0, {limit})")
+    return value
+
+
+def _checked_words(values, count: int, limit: Optional[int],
+                   what: str) -> List[int]:
+    values = [_checked_word(value, limit) for value in values]
+    if len(values) != count:
+        raise ValueError(f"{len(values)} {what} values, not {count}")
+    return values
+
+
+def _checked_indices(values, count: int) -> FrozenSet[int]:
+    return frozenset(_checked_word(value, count) for value in values)
 
 
 @dataclass
@@ -366,16 +415,20 @@ class CheckpointStore(RecordStore):
 
     def get(self, config, program, mem_words: int,
             interval: int) -> Optional[CheckpointStream]:
-        payload = self.read(self.key(config, program, mem_words, interval))
-        if payload is None:
-            return None
-        base = _base_image(config, program, mem_words)
-        return CheckpointStream(
-            interval=payload["interval"],
-            reference_cycles=payload["reference_cycles"],
-            snapshots=[CoreSnapshot.from_payload(entry, base)
-                       for entry in payload["snapshots"]],
-        )
+        """The stored stream, or None; a record whose snapshots are not
+        states this machine can hold is invalidated as corrupt."""
+
+        def decode(payload) -> CheckpointStream:
+            base = _base_image(config, program, mem_words)
+            return CheckpointStream(
+                interval=payload["interval"],
+                reference_cycles=payload["reference_cycles"],
+                snapshots=[CoreSnapshot.from_payload(entry, base, config)
+                           for entry in payload["snapshots"]],
+            )
+
+        return self.read(self.key(config, program, mem_words, interval),
+                         decode)
 
     def put(self, config, program, mem_words: int,
             stream: CheckpointStream) -> None:

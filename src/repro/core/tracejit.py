@@ -33,7 +33,13 @@ The generated function has
   to Python locals (the register-file lists are not touched until a
   trace exit materialises them),
 * per-cycle statistics folded into per-exit static tables multiplied
-  by exit counters at fold time, and
+  by exit counters at fold time,
+* every fold of the bundle generator (``r0``, literal addresses,
+  one-compare bounds tests, no re-masking of range-known values), so
+  a landing is a bare assignment,
+* trap bookkeeping off the hot path: each op that may trap is wrapped
+  in a ``try`` whose ``except`` records the chain position that
+  raised, and
 * guarded side exits wherever the static schedule cannot continue — a
   taken conditional branch, a register-port stall, a HALT — that
   return control to the bundle-level engine with architectural state
@@ -87,6 +93,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core import decode as dec
 from repro.core.fastpath import (
     _Coder,
+    _indent,
     _queue_lines,
     _C_FWD,
     _CONTROL_KINDS,
@@ -264,7 +271,7 @@ class _TraceBuilder(_Coder):
         #: Chain positions of followed branches (inlined calls/returns).
         self.follow = frozenset(follow)
         self.bundles = [machine._bundles[pc] for pc in pcs]
-        self.fu_index = fastsim._fu_index
+        self.site_index = fastsim._site_index  # (pc, slot) -> GC site
         self.pc_static = fastsim._static      # per-PC (index, k) pairs
         self.n_mem = fastsim._n_mem
         self.t_base = t_base = fastsim._t_base
@@ -314,6 +321,7 @@ class _TraceBuilder(_Coder):
         self._vseq = 0
         self._wseq = 0
         self._fseq = 0
+        self._k = 0                       # chain position being emitted
         self._can_trap = False            # current bundle may raise TrapError
         self.flag_inits: List[str] = []
 
@@ -326,6 +334,13 @@ class _TraceBuilder(_Coder):
     def new_var(self) -> str:
         self._vseq += 1
         return f"_v{self._vseq}"
+
+    def may_trap(self, lines: List[str]) -> List[str]:
+        """Record the raising chain position on the way out only: a
+        ``try`` costs nothing until something raises."""
+        self.used.update(("BI", "TE"))
+        return (["try:"] + _indent(lines)
+                + ["except TE:", f"    BI[0] = {self._k}", "    raise"])
 
     def _add_write(self, k: int, space: int, dest: int, latency: int,
                    var: str, flag: Optional[str]) -> None:
@@ -362,7 +377,7 @@ class _TraceBuilder(_Coder):
                         wl_static += 1
                     else:
                         wl_flags.append(w.flag)
-                value = f"{w.var} & {self.mask}"  # the drain masks GPRs
+                value = w.var  # GPR values are in [0, mask] at issue
             elif w.space == 1:
                 value = f"1 if {w.var} else 0"
             else:
@@ -427,7 +442,8 @@ class _TraceBuilder(_Coder):
             parts.append((w.flag, hit))
         expr = final
         for flag, hit in reversed(parts):
-            expr = f"({hit} if {flag} else {expr})"
+            if hit != expr:
+                expr = f"({hit} if {flag} else {expr})"
         return expr
 
     def _emit_reads(self, k: int, body: List[str]) -> Tuple[str, int]:
@@ -502,8 +518,8 @@ class _TraceBuilder(_Coder):
                     body.append("_tk = 0")
                 if flag is not None:
                     lines.append(f"{flag} = 1")
-                body += self.guarded(op.guard, self.fu_index[op.fu],
-                                     code.bumps, lines)
+                body += self.guarded(op.guard, self.site_index[(pc, slot)],
+                                     lines)
             else:
                 # Unguarded counter bumps are already in the fast
                 # path's per-bundle statics (folded per exit).
@@ -621,14 +637,11 @@ class _TraceBuilder(_Coder):
         for k, pc in enumerate(self.pcs):
             wl_static, wl_flags = self._emit_landings(k, body)
             reads_expr, n_reads = self._emit_reads(k, body)
+            self._k = k
             self._can_trap = False
-            ops_body: List[str] = []
-            control = self._emit_ops(k, pc, ops_body)
+            control = self._emit_ops(k, pc, body)
             if self._can_trap:
-                self.used.add("BI")
-                body.append(f"BI[0] = {k}")
                 trap_bundles.append(k)
-            body.extend(ops_body)
             # Port-stall test: bundle 0 sees externally-landing writes
             # (dynamic count), later positions only in-trace landings
             # (static upper bound decides whether the test is needed).
@@ -732,7 +745,7 @@ class TraceSim:
         self._hot = [0] * n_bundles
         self._blacklist: Set[int] = set()
         self._runtimes: List[_TraceRuntime] = []
-        self._bi = [0]  # chain position of the bundle that may trap
+        self._bi = [0]  # chain position of the bundle that trapped
         #: Superblocks compiled by this engine (cache hits included).
         self.traces_compiled = 0
         # A shared cache warmed by an earlier run makes this engine hot
@@ -921,6 +934,7 @@ class TraceSim:
             "B": fastsim._btr_values,
             "RA": fastsim._ready_at,
             "C": fastsim._counts,
+            "GC": fastsim._guard_counts,
             "PD": fastsim._pending,
             "MEM": machine.memory._words,
             "MR": machine.memory.read,

@@ -95,7 +95,6 @@ from repro.errors import (
     TrapError,
 )
 from repro.isa.semantics import to_signed
-from repro.mdes import Mdes
 
 #: Fault target spaces / models, mirrored locally (``repro.reliability``
 #: imports the core, not the other way around).
@@ -248,7 +247,7 @@ class VectorEngine:
         self._base_mem = [word & mask for word in program.data]
         self._base_mem.extend([0] * (mem_words - len(self._base_mem)))
 
-        self._bundles = dec.predecode_program(program, Mdes(config))
+        self._bundles = dec.predecode_program(program, config)
 
     # -- fault triage ------------------------------------------------------
 

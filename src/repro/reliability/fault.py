@@ -75,7 +75,11 @@ def corrupt_fetched_word(fmt, mdes, program, issue_width: int, pc: int,
     Returns ``(prebundle, word, slot, error)``: the re-decoded bundle
     (or ``None`` when the corrupted word no longer decodes or no longer
     fits the machine's issue resources), the corrupted instruction
-    word, the slot it sat in, and the decode error if any.
+    word, the slot it sat in, and the decode error's message if any.
+    Only the message is returned: held by a caller, the exception's
+    traceback frames would form a reference cycle with the caller's
+    own frame, keeping everything up the stack (a vector walk's
+    lane-memory plane, for one) alive until the cyclic collector runs.
     """
     padded = program.bundles[pc].padded(issue_width)
     slot = slot_hint % len(padded.slots)
@@ -86,7 +90,7 @@ def corrupt_fetched_word(fmt, mdes, program, issue_width: int, pc: int,
         slots[slot] = fmt.decode(word)
         corrupted = predecode_bundle(Bundle(tuple(slots)), mdes, pc)
     except (EncodingError, SimulationError) as error:
-        return None, word, slot, error
+        return None, word, slot, str(error)
     return corrupted, word, slot, None
 
 

@@ -146,12 +146,15 @@ class RecordStore:
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def read(self, key: str) -> Optional[object]:
+    def read(self, key: str, decode=None) -> Optional[object]:
         """The payload stored under ``key``, or None.
 
         A record that cannot be parsed, or is not a record, is
         invalidated as corrupt; one whose schema, salt or key no longer
-        match is invalidated as stale.  Both read as a miss.
+        match is invalidated as stale.  Both read as a miss.  ``decode``,
+        if given, turns the payload into what is returned and raises
+        ``KeyError``, ``IndexError``, ``TypeError`` or ``ValueError`` on
+        a payload that does not hold; such a record is corrupt too.
         """
         path = self.path_for(key)
         try:
@@ -173,8 +176,15 @@ class RecordStore:
         if "payload" not in record:
             self._invalidate(path, corrupt=True)
             return None
+        payload = record["payload"]
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (KeyError, IndexError, TypeError, ValueError):
+                self._invalidate(path, corrupt=True)
+                return None
         self.stats.hits += 1
-        return record["payload"]
+        return payload
 
     def _invalidate(self, path: str, corrupt: bool = False) -> None:
         self.stats.invalidations += 1

@@ -11,7 +11,10 @@ scheduler and both simulators against each other.
 
 The cross-engine test runs the same programs on the EPIC core's
 reference, fast and trace engines, including paused-and-resumed runs.
-It checks a fixed, derandomised corpus by default; loading the
+Its programs also index the array with computed indices, mostly masked
+into range and occasionally far outside memory, so loads and stores
+take the engines' dynamic bounds tests and some runs end in a trap.  It
+checks a fixed, derandomised corpus by default; loading the
 ``cross-engine-wide`` profile (``tests/conftest.py``) with
 ``--hypothesis-profile=cross-engine-wide --hypothesis-seed=N`` widens it
 to 300 seeded programs.
@@ -25,6 +28,7 @@ from repro.backend import compile_minic_to_epic
 from repro.baseline import Sa110Simulator, compile_minic_to_armlet
 from repro.config import epic_config, epic_with_alus
 from repro.core import EpicProcessor
+from repro.errors import TrapError
 from repro.ir import run_module
 from repro.lang import compile_minic
 from repro.perf.bench import stats_fingerprint
@@ -37,48 +41,59 @@ _CMPS = ["<", "<=", ">", ">=", "==", "!="]
 
 
 @st.composite
-def expressions(draw, depth=0):
+def indices(draw, depth=0, wild=False):
+    """An array index: a literal, or (``wild``) a computed one, masked
+    into range or, now and then, far outside a 4,096-word memory."""
+    if not (wild and draw(st.booleans())):
+        return str(draw(st.integers(0, _ARRAY_SIZE - 1)))
+    inner = draw(expressions(depth=depth + 1, wild=wild))
+    if draw(st.integers(0, 15)):
+        return f"({inner}) & 3"
+    return f"(({inner}) & 3) {draw(st.sampled_from(['+', '-']))} 70000"
+
+
+@st.composite
+def expressions(draw, depth=0, wild=False):
     choice = draw(st.integers(0, 5 if depth < 3 else 2))
     if choice == 0:
         return str(draw(st.integers(-100, 100)))
     if choice == 1:
         return draw(st.sampled_from(_VARS))
     if choice == 2:
-        index = draw(st.integers(0, _ARRAY_SIZE - 1))
-        return f"{_ARRAY}[{index}]"
+        return f"{_ARRAY}[{draw(indices(depth=depth, wild=wild))}]"
     if choice == 3:
         op = draw(st.sampled_from(_BINOPS))
-        left = draw(expressions(depth=depth + 1))
-        right = draw(expressions(depth=depth + 1))
+        left = draw(expressions(depth=depth + 1, wild=wild))
+        right = draw(expressions(depth=depth + 1, wild=wild))
         return f"({left} {op} {right})"
     if choice == 4:
         op = draw(st.sampled_from(["&", ">>"]))
-        inner = draw(expressions(depth=depth + 1))
+        inner = draw(expressions(depth=depth + 1, wild=wild))
         amount = draw(st.integers(0, 7))
         return f"(({inner}) {op} {amount})" if op == ">>" \
             else f"(({inner}) & {amount})"
     op = draw(st.sampled_from(_CMPS))
-    left = draw(expressions(depth=depth + 1))
-    right = draw(expressions(depth=depth + 1))
+    left = draw(expressions(depth=depth + 1, wild=wild))
+    right = draw(expressions(depth=depth + 1, wild=wild))
     return f"({left} {op} {right})"
 
 
 @st.composite
-def statements(draw, depth=0, in_loop=False):
+def statements(draw, depth=0, in_loop=False, wild=False):
     choice = draw(st.integers(0, 4 if depth < 2 else 1))
     if choice == 0:
         target = draw(st.sampled_from(_VARS))
-        value = draw(expressions())
+        value = draw(expressions(wild=wild))
         return f"{target} = {value};"
     if choice == 1:
-        index = draw(st.integers(0, _ARRAY_SIZE - 1))
-        value = draw(expressions())
+        index = draw(indices(wild=wild))
+        value = draw(expressions(wild=wild))
         return f"{_ARRAY}[{index}] = {value};"
     if choice == 2:
-        cond = draw(expressions())
-        then = draw(blocks(depth=depth + 1, in_loop=in_loop))
+        cond = draw(expressions(wild=wild))
+        then = draw(blocks(depth=depth + 1, in_loop=in_loop, wild=wild))
         if draw(st.booleans()):
-            els = draw(blocks(depth=depth + 1, in_loop=in_loop))
+            els = draw(blocks(depth=depth + 1, in_loop=in_loop, wild=wild))
             return f"if ({cond}) {{ {then} }} else {{ {els} }}"
         return f"if ({cond}) {{ {then} }}"
     if choice == 3:
@@ -86,28 +101,32 @@ def statements(draw, depth=0, in_loop=False):
         # loops must never share one, or an inner loop can reset the
         # outer induction and the program never terminates.
         trips = draw(st.integers(1, 5))
-        body = draw(blocks(depth=depth + 1, in_loop=True))
+        body = draw(blocks(depth=depth + 1, in_loop=True, wild=wild))
         var = f"idx{depth}"
         return (f"for ({var} = 0; {var} < {trips}; {var} += 1) "
                 f"{{ {body} }}")
     # Compound assignment.
     target = draw(st.sampled_from(_VARS))
     op = draw(st.sampled_from(["+=", "-=", "^=", "|="]))
-    value = draw(expressions())
+    value = draw(expressions(wild=wild))
     return f"{target} {op} {value};"
 
 
 @st.composite
-def blocks(draw, depth=0, in_loop=False):
+def blocks(draw, depth=0, in_loop=False, wild=False):
     count = draw(st.integers(1, 3))
     return " ".join(
-        draw(statements(depth=depth, in_loop=in_loop)) for _ in range(count)
+        draw(statements(depth=depth, in_loop=in_loop, wild=wild))
+        for _ in range(count)
     )
 
 
 @st.composite
-def programs(draw):
-    body = " ".join(draw(statements()) for _ in range(draw(st.integers(1, 6))))
+def programs(draw, wild=False):
+    """A MiniC program; ``wild`` ones compute array indices (see
+    :func:`indices`) and may trap."""
+    body = " ".join(draw(statements(wild=wild))
+                    for _ in range(draw(st.integers(1, 6))))
     checksum = " ^ ".join(
         _VARS + [f"{_ARRAY}[{i}]" for i in range(_ARRAY_SIZE)]
         + ["idx0", "idx1", "idx2"]
@@ -181,7 +200,7 @@ _CROSS_ENGINE = (
 
 
 @_CROSS_ENGINE
-@given(programs(), st.sampled_from([1, 4]), st.integers(1, 8),
+@given(programs(wild=True), st.sampled_from([1, 4]), st.integers(1, 8),
        st.integers(0, 99))
 def test_random_programs_agree_across_engines(source, n_alus, cap,
                                               pause_percent):
@@ -190,29 +209,48 @@ def test_random_programs_agree_across_engines(source, n_alus, cap,
     # chains and trimmed chains all form on these small programs.
     config = epic_with_alus(n_alus)
     compilation = compile_minic_to_epic(source, config)
-    base = compilation.symbols[_ARRAY]
 
     def machine():
         return EpicProcessor(config, compilation.program, mem_words=4096,
                              trace_hotness=1, trace_cap=cap)
 
-    def observe(cpu):
-        return (stats_fingerprint(cpu.stats), cpu.gpr.read(2),
-                [cpu.memory.read(base + i) for i in range(_ARRAY_SIZE)])
+    def finish(cpu, engine, until_cycle=None):
+        """Run to HALT or a trap; returns the trap's cause, cycle, pc."""
+        try:
+            result = cpu.run(max_cycles=2_000_000, engine=engine,
+                             until_cycle=until_cycle)
+            while not result.halted:
+                result = cpu.run(max_cycles=2_000_000, engine=engine)
+        except TrapError as trap:
+            return trap.cause, trap.cycle, trap.pc
+        return None
+
+    def state(cpu):
+        return (cpu.gpr.dump(), cpu.pred.dump(), cpu.btr.dump(),
+                cpu.memory.read_block(0, len(cpu.memory)))
 
     reference = machine()
-    reference.run(max_cycles=2_000_000, engine="reference")
-    expected = observe(reference)
-    pause_at = 1 + reference.stats.cycles * pause_percent // 100
+    trap = finish(reference, "reference")
+    expected = (trap, state(reference))
+    end = reference.stats.cycles if trap is None else trap[1]
+    pause_at = 1 + end * pause_percent // 100
+    trapped_stats = {}
     for engine in ("fast", "trace"):
-        cpu = machine()
-        cpu.run(max_cycles=2_000_000, engine=engine)
-        assert cpu.last_engine == engine
-        assert observe(cpu) == expected, engine
-        # Paused at a drawn cycle, then resumed to the end.
-        cpu = machine()
-        result = cpu.run(max_cycles=2_000_000, engine=engine,
-                         until_cycle=pause_at)
-        while not result.halted:
-            result = cpu.run(max_cycles=2_000_000, engine=engine)
-        assert observe(cpu) == expected, (engine, pause_at)
+        for until_cycle in (None, pause_at):
+            cpu = machine()
+            observed = (finish(cpu, engine, until_cycle), state(cpu))
+            assert cpu.last_engine == engine
+            assert observed == expected, (engine, until_cycle)
+            stats = stats_fingerprint(cpu.stats)
+            if trap is None:
+                assert stats == stats_fingerprint(reference.stats), \
+                    (engine, until_cycle)
+            else:
+                # A trapped run keeps the specialised engines' documented
+                # hoisted counters, so its stats are compared between
+                # them; ``cycles`` is not, as no engine updates it on a
+                # trap (the trap's own cycle is compared above).
+                del stats["cycles"]
+                assert stats == trapped_stats.setdefault(until_cycle,
+                                                         stats), \
+                    (engine, until_cycle)

@@ -7,12 +7,14 @@ instrumented reference loop, whose outputs are in turn validated
 against each workload's golden reference values.
 """
 
+import re
+
 import pytest
 
 from repro.asm import assemble
 from repro.backend import compile_minic_to_epic
 from repro.config import epic_config, epic_with_alus
-from repro.core import EpicProcessor
+from repro.core import EpicProcessor, fastpath
 from repro.core.trace import Tracer
 from repro.errors import (
     SimulationError,
@@ -95,6 +97,85 @@ main:
   SW r9, r0, 20
   HALT
 """
+
+
+#: One op per bundle (``_b{pc}``): static and dynamic memory accesses,
+#: a signed compare and shift, and a guarded op reading r0.
+CODEGEN_SHAPES = """
+main:
+  MOVI r4, 7
+  LW r5, r0, 20
+  SW r4, r0, 21
+  LW r6, r4, 3
+  SW r5, r4, 9
+  { CMPP_LT p1, p2, r4, r5 ; SHRA r7, r4, 1 }
+  (p1) ADD r8, r0, r4
+  HALT
+"""
+
+
+def generated_bundles(config, mem_words):
+    """The fast engine's generated source, by bundle function name."""
+    cpu = EpicProcessor(config, assemble(CODEGEN_SHAPES, config),
+                        mem_words=mem_words)
+    source = fastpath._generated_code(cpu).source
+    return {chunk.split("(", 1)[0][len("def "):]: chunk
+            for chunk in re.split(r"\n(?=def )", source)}
+
+
+class TestGeneratedCode:
+    """The generator emits code only for what is unknown at generation
+    time; these pin each fold so a refactor cannot silently drop one."""
+
+    def test_r0_reads_as_literal_zero(self):
+        bundles = generated_bundles(epic_config(), 64)
+        assert not any("G[0]" in code for code in bundles.values())
+        assert "(0 + G[4])" in bundles["_b6"]
+
+    def test_static_in_range_access_has_no_bounds_test(self):
+        bundles = generated_bundles(epic_config(), 64)
+        load, store = bundles["_b1"], bundles["_b2"]
+        assert "MEM[20]" in load
+        assert "_a" not in load and "MR" not in load
+        assert "_sa = 21" in store
+        assert "if" not in store and "MC" not in store
+
+    def test_dynamic_access_is_one_compare(self):
+        bundles = generated_bundles(epic_config(), 64)
+        sign = "^ 2147483648) - 2147483648)"
+        assert "if _a < 64:" in bundles["_b3"]
+        assert f"MR(((_a {sign})" in bundles["_b3"]
+        assert "if _sa >= 64:" in bundles["_b4"]
+        assert f"MC(((_sa {sign})" in bundles["_b4"]
+
+    def test_sign_fix_up_kept_where_memory_outgrows_the_sign_bit(self):
+        # 8-bit addresses reach only words 0-127 of a 256-word memory:
+        # the one compare is against the sign bit, and the trap branch
+        # still signs the address.
+        config = epic_config(datapath_width=8)
+        bundles = generated_bundles(config, 256)
+        assert "if _a < 128:" in bundles["_b3"]
+        assert "MR(((_a ^ 128) - 128))" in bundles["_b3"]
+        assert "if _sa >= 128:" in bundles["_b4"]
+        assert "MC(((_sa ^ 128) - 128))" in bundles["_b4"]
+        run_both(config, assemble(CODEGEN_SHAPES, config), 256)
+
+    def test_signed_reads_are_branch_free(self):
+        compare_and_shift = generated_bundles(epic_config(), 64)["_b5"]
+        assert "((G[4] ^ 2147483648) - 2147483648) < " in compare_and_shift
+        assert "(((G[4] ^ 2147483648) - 2147483648) >> 1)" \
+            in compare_and_shift
+        assert ">= 2147483648" not in compare_and_shift
+
+    def test_guarded_op_bumps_one_site_counter(self):
+        guarded = generated_bundles(epic_config(), 64)["_b6"]
+        assert "GC[0] += 1" in guarded
+        assert not re.search(r"\bC\[[01]\]", guarded)  # exec, squash
+        assert "else" not in guarded
+
+    def test_shapes_program_matches_instrumented(self):
+        config = epic_config()
+        run_both(config, assemble(CODEGEN_SHAPES, config), 64)
 
 
 class TestDifferentialAssembly:

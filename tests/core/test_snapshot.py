@@ -7,6 +7,8 @@ property for all three execution engines, across an active fault
 injector, and across the pickle boundary used by the on-disk store.
 """
 
+import json
+import os
 import pickle
 
 import pytest
@@ -242,6 +244,47 @@ class TestCheckpointStore:
         fresh = CheckpointStore(str(tmp_path), salt="new")
         assert fresh.get(config, program, MEM_WORDS, 16) is None
         assert fresh.stats.invalidations == 1
+
+    @pytest.mark.parametrize("tamper", [
+        lambda snap: snap["mem_delta"].update({"-1": 5}),
+        lambda snap: snap["mem_delta"].update({str(MEM_WORDS): 5}),
+        lambda snap: snap["mem_delta"].update({"07": 5}),
+        lambda snap: snap["mem_delta"].update({"3": 1 << 32}),
+        lambda snap: snap["mem_delta"].update({"3": -1}),
+        lambda snap: snap.pop("gpr"),
+        lambda snap: snap["gpr"].__setitem__(5, 1 << 32),
+        lambda snap: snap["gpr"].__setitem__(0, 7),
+        lambda snap: snap["gpr"].pop(),
+        lambda snap: snap["pred"].__setitem__(1, 2),
+        lambda snap: snap["stats"].pop("cycles"),
+        lambda snap: snap["mem_poison"].append(MEM_WORDS),
+        lambda snap: snap.__setitem__("mem_delta", [[3, 5]]),
+    ], ids=["negative-address", "address-past-memory", "non-canonical",
+            "wide-word", "negative-word", "missing-gprs", "wide-gpr",
+            "nonzero-r0", "short-gpr-file", "wide-predicate",
+            "missing-stat", "poison-past-memory", "delta-not-a-map"])
+    def test_invalid_snapshot_reads_as_corrupt_miss(self, parts, tmp_path,
+                                                    tamper):
+        # The fast and trace engines take every register and memory
+        # word to be in [0, mask]: a stored state that breaks that (or
+        # does not fit the machine) must never be restored.
+        config, program = parts
+        store = CheckpointStore(str(tmp_path), salt="s1")
+        stream = capture_checkpoints(config, program, MEM_WORDS,
+                                     interval=16)
+        store.put(config, program, MEM_WORDS, stream)
+        path = store.path_for(store.key(config, program, MEM_WORDS, 16))
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        tamper(record["payload"]["snapshots"][-1])
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        assert store.get(config, program, MEM_WORDS, 16) is None
+        assert store.stats.corrupt == 1
+        assert store.stats.hits == 0
+        assert not os.path.exists(path)
+        store.put(config, program, MEM_WORDS, stream)
+        assert store.get(config, program, MEM_WORDS, 16) is not None
 
     def test_restored_from_disk_resumes_identically(self, parts, tmp_path,
                                                     uninterrupted):

@@ -214,6 +214,70 @@ class TestTrapEquivalence:
         assert observed[0][0] == TRAP_OOB_STORE
 
 
+#: A hot loop with static and dynamic loads and stores and a DIV, whose
+#: semantics call is the one other op that may trap.
+CODEGEN_LOOP = """
+main:
+  PBR b0, loop
+  MOVI r4, 0
+loop:
+  ADD r4, r4, 1
+  LW r5, r0, 20
+  SW r5, r0, 21
+  LW r6, r4, 3
+  SW r6, r4, 9
+  DIV r7, r6, r4
+  CMPP_LT p1, p2, r4, 30
+  (p1) BR b0
+  HALT
+"""
+
+
+def trace_sources(config, mem_words):
+    """Run the loop on every engine; returns the trace engine's sources."""
+    program = assemble(CODEGEN_LOOP, config)
+    *_, trace = run_three(config, program, mem_words)
+    sources = [runtime.code.source for runtime in trace._tracesim._runtimes]
+    assert sources
+    return sources
+
+
+class TestGeneratedCode:
+    """Superblocks get the bundle generator's folds; these pin them so
+    a refactor cannot silently drop one."""
+
+    def test_r0_reads_as_literal_zero(self):
+        for source in trace_sources(epic_config(), 64):
+            assert "G[0]" not in source
+
+    def test_static_in_range_access_has_no_bounds_test(self):
+        sources = trace_sources(epic_config(), 64)
+        assert "MEM[20]" in sources[0] and "_sa = 21" in sources[0]
+        # Only the dynamic load and store keep a bounds test and a
+        # trap call.
+        for source in sources:
+            for call, compare in (("MR(", "if _a < 64:"),
+                                  ("MC(", "if _sa >= 64:")):
+                assert source.count(call) == source.count(compare) <= 1
+
+    def test_trap_bookkeeping_only_on_raising_branches(self):
+        marks = 0
+        for source in trace_sources(epic_config(), 64):
+            lines = [line.strip() for line in source.splitlines()]
+            for i, line in enumerate(lines):
+                if line.startswith("BI[0] ="):
+                    marks += 1
+                    assert lines[i - 1] == "except TE:", source
+        assert marks  # the dynamic accesses and the DIV may trap
+
+    def test_sign_fix_up_kept_where_memory_outgrows_the_sign_bit(self):
+        source = "\n".join(trace_sources(epic_config(datapath_width=8),
+                                         256))
+        assert "if _a < 128:" in source
+        assert "MR(((_a ^ 128) - 128))" in source
+        assert "MC(((_sa ^ 128) - 128))" in source
+
+
 class TestTraceCache:
     def make(self, cache, n_alus=2):
         spec = SMALL_WORKLOADS["DCT"]()

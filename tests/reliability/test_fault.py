@@ -1,11 +1,15 @@
 """Fault injector unit behaviour: models, protection, determinism."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.asm import assemble
 from repro.config import epic_config
 from repro.core import EpicProcessor
 from repro.errors import SimulationError, TrapError, TRAP_PARITY
+from repro.isa.encoding import InstructionFormat
 from repro.reliability import (
     FaultInjector,
     FaultSpec,
@@ -17,6 +21,7 @@ from repro.reliability import (
     SPACE_MEM,
     SPACE_PRED,
 )
+from repro.reliability.fault import corrupt_fetched_word
 
 
 def build(source, faults=(), mem_words=64, **overrides):
@@ -214,3 +219,33 @@ class TestFetchFaults:
             except SimulationError as error:
                 outcomes.append(("error", type(error).__name__, str(error)))
         assert outcomes[0] == outcomes[1]
+
+    def test_undecodable_fetch_keeps_no_caller_frame_alive(self):
+        # A decode error with its traceback would keep the caller's
+        # frame (a vector walk's lane-memory plane, for one) alive until
+        # the cyclic collector runs; only the message comes back.
+        config = epic_config()
+        program = assemble(COUNTDOWN, config)
+        cpu = EpicProcessor(config, program, mem_words=64)
+        fmt = InstructionFormat(config, cpu.mdes.table)
+
+        class Marker:
+            pass
+
+        def caller(bit):
+            marker = Marker()
+            return weakref.ref(marker), corrupt_fetched_word(
+                fmt, cpu.mdes, program, config.issue_width, 0, 0, bit)
+
+        gc.disable()
+        try:
+            undecodable = 0
+            for bit in range(fmt.instruction_bits):
+                alive, (bundle, _, _, error) = caller(bit)
+                if bundle is None:
+                    undecodable += 1
+                    assert isinstance(error, str) and error
+                    assert alive() is None
+        finally:
+            gc.enable()
+        assert undecodable
