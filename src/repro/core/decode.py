@@ -74,15 +74,19 @@ class PreBundle:
     group was decoded from, so tracers can render what actually entered
     the pipeline — essential when a fault injector substitutes a
     corrupted fetch for the program's own bundle.
+
+    ``fetch_stall`` is the bundle's static front-end stall: the cycles
+    its data accesses steal from the fetch when the LSU shares the
+    memory bandwidth (0 otherwise).  Every engine reads it from here.
     """
 
-    __slots__ = ("ops", "n_mem", "gpr_read_set", "n_real", "source")
+    __slots__ = ("ops", "fetch_stall", "gpr_read_set", "n_real", "source")
 
-    def __init__(self, ops: List[PreOp], n_mem: int,
+    def __init__(self, ops: List[PreOp], fetch_stall: int,
                  gpr_read_set: Tuple[int, ...], n_real: int,
                  source: Bundle):
         self.ops = ops
-        self.n_mem = n_mem
+        self.fetch_stall = fetch_stall
         self.gpr_read_set = gpr_read_set
         self.n_real = n_real
         self.source = source
@@ -204,7 +208,18 @@ def predecode_bundle(bundle: Bundle, mdes: Mdes, address: int) -> PreBundle:
                 "(the compiler must avoid resource conflicts)"
             )
 
-    return PreBundle(ops=ops, n_mem=n_mem,
+    # Memory bandwidth (§3.2): four 32-bit banks behind a 2x-clock
+    # controller deliver a full fetch per cycle; with the LSU sharing
+    # them, each data access adds 32 bits of demand, and every started
+    # group of bank bandwidth beyond the first costs a fetch stall.
+    config = mdes.config
+    fetch_stall = 0
+    if config.lsu_shares_fetch_bandwidth and n_mem:
+        bank_bits = config.n_mem_banks * 32 * 2
+        demand = config.issue_width * 64 + 32 * n_mem
+        fetch_stall = (demand + bank_bits - 1) // bank_bits - 1
+
+    return PreBundle(ops=ops, fetch_stall=fetch_stall,
                      gpr_read_set=tuple(sorted(read_set)), n_real=n_real,
                      source=bundle)
 

@@ -75,6 +75,7 @@ go through the parity-checking accessors.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -158,14 +159,17 @@ def _check_index(value: int, limit: int, what: str) -> None:
                           f"(limit {limit})")
 
 
-def _queue_lines(when: str) -> List[str]:
-    """Bind ``_q`` to the pending list of write-backs landing at ``when``.
+def _queue_lines(when: str, var: str = "_q") -> List[str]:
+    """Bind ``var`` to the pending list of write-backs landing at ``when``.
 
     Entries are grouped by ready cycle and applied by the drain in
     ``(ready, issue-order)`` order, the instrumented path's heap order.
+    The list is created here, so the caller must append to it at once:
+    the drain and the pause test read an empty ``PD`` as nothing in
+    flight.
     """
-    return [f"_q = PD.get({when})", "if _q is None:",
-            f"    _q = PD[{when}] = []"]
+    return [f"{var} = PD.get({when})", f"if {var} is None:",
+            f"    {var} = PD[{when}] = []"]
 
 
 def _indent(lines: List[str]) -> List[str]:
@@ -547,19 +551,25 @@ def _bundle_source(pc: int, bundle, coder: _Coder, fu_slot, guard_site,
         body.append("_tg = None")
     store_init, store_tail = coder.store_frame(bundle.ops)
     body += store_init
+    # One queue lookup per latency and bundle: a queue local bound by
+    # an unguarded op serves every later op, one bound inside a guarded
+    # op's block only that block.
+    queues: Dict[int, str] = {}
     for slot, op in enumerate(bundle.ops):
         if op.kind == dec.K_NOP:
             static[_C_NOPS] = static.get(_C_NOPS, 0) + 1
             continue
         code = coder.op_code(op, pc, slot)
         lines = list(code.lines)
-        latency = None
+        bound = dict(queues) if op.guard else queues
         for space, dest, ready, value in code.writes:
-            if ready != latency:  # one queue lookup per latency
-                latency = ready
+            queue = bound.get(ready)
+            if queue is None:
+                queue = bound[ready] = f"_q{ready}"
                 used.add("PD")
-                lines += [f"_t = cycle + {ready}"] + _queue_lines("_t")
-            lines.append(f"_q.append(({space}, {dest}, {value}))")
+                lines += [f"_t = cycle + {ready}"] + _queue_lines("_t",
+                                                                  queue)
+            lines.append(f"{queue}.append(({space}, {dest}, {value}))")
         if code.control is not None:
             test, target = code.control
             if target is None:
@@ -622,7 +632,6 @@ class _Generated:
     counts_len: int
     fu_index: Dict[str, int]
     base_namespace: Dict[str, object]
-    n_mem: List[int]
 
 
 def _generate(machine) -> _Generated:
@@ -668,7 +677,6 @@ def _generate(machine) -> _Generated:
         source=source, code=code, names=names, statics=statics, site_pairs=site_pairs,
         site_index=site_index, counts_len=counts_len,
         fu_index=fu_index, base_namespace=namespace,
-        n_mem=[bundle.n_mem for bundle in machine._bundles],
     )
 
 
@@ -728,10 +736,12 @@ class FastSim:
         )
         exec(generated.code, namespace)  # noqa: S102 - our own generated source
 
-        self._machine = machine
-        self._fns = [namespace[name] for name in generated.names]
+        # Neither the machine (which holds this engine) nor the
+        # namespace (the functions' globals) refers back to what holds
+        # it, so a dropped machine is freed by reference counting.
+        self._machine = weakref.ref(machine)
+        self._fns = [namespace.pop(name) for name in generated.names]
         self._static = generated.statics
-        self._n_mem = generated.n_mem
         self._counts = counts
         self._guard_counts = guard_counts
         self._site_pairs = generated.site_pairs
@@ -777,11 +787,11 @@ class FastSim:
         which is exactly the pause condition, and the pause test runs
         first).
         """
-        machine = self._machine
+        machine = self._machine()
         config = machine.config
         stats = machine.stats
         fns = self._fns
-        n_mem = self._n_mem
+        bundles = machine._bundles
         n_bundles = len(fns)
 
         gpr = self._gpr_values
@@ -801,8 +811,6 @@ class FastSim:
         port_budget = config.regfile_ops_per_cycle
         model_ports = config.model_port_limit
         share_bandwidth = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2
         branch_penalty = config.taken_branch_penalty
 
         tracing = trace is not None
@@ -965,9 +973,8 @@ class FastSim:
                         stall = (port_ops + port_budget - 1) // port_budget - 1
                         port_stalls += stall
                         extra += stall
-                if share_bandwidth and n_mem[pc]:
-                    demand = fetch_bits + 32 * n_mem[pc]
-                    stall = (demand + bank_bits - 1) // bank_bits - 1
+                if share_bandwidth:
+                    stall = bundles[pc].fetch_stall
                     fetch_stalls += stall
                     extra += stall
 

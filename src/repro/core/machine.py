@@ -25,7 +25,8 @@ Timing model
 * **Memory bandwidth** (§3.2): four 32-bit banks behind a 2x-clock
   controller deliver the 256 bits/cycle needed for a full fetch.  When
   ``lsu_shares_fetch_bandwidth`` is set, data accesses steal fetch slots
-  and stall the front end (ablation A-series).
+  and stall the front end (ablation A-series); the stall is static per
+  bundle, ``PreBundle.fetch_stall`` (:mod:`repro.core.decode`).
 * **Predication** (§2): an operation whose guard predicate reads false is
   squashed — "only those instructions associated with a predicate
   register showing a true condition will be committed; others will be
@@ -251,34 +252,41 @@ class EpicProcessor:
         if self._paused:
             start_cycle, start_pc = self._resume_cycle, self._resume_pc
             self._paused = False
-        if engine != "reference" and eligible:
-            sim = self._fast_sim()
-            if sim is None and engine != "auto":
-                requested = ("trace engine" if engine == "trace"
-                             else "fast path")
-                raise SimulationError(
-                    f"{requested} requested but the loaded program cannot "
-                    f"be specialised: {self.fastpath_reject_reason}"
-                )
-            if sim is not None:
-                # The trace engine runs the fast engine's loop with
-                # superblock dispatch switched on.
-                tracer = self._trace_sim() if engine == "trace" else None
-                self.last_engine = "trace" if tracer else "fast"
-                cycles = sim.run(max_cycles=max_cycles,
-                                 watchdog_cycles=watchdog_cycles,
-                                 until_cycle=until_cycle,
-                                 start_cycle=start_cycle, start_pc=start_pc,
-                                 trace=tracer)
-                return SimulationResult(cycles=cycles, stats=self.stats,
-                                        halted=not self._paused,
-                                        traps=list(self.traps))
-        self.last_engine = "reference"
-        return self._run_instrumented(max_cycles=max_cycles, trace=trace,
-                                      watchdog_cycles=watchdog_cycles,
-                                      until_cycle=until_cycle,
-                                      start_cycle=start_cycle,
-                                      start_pc=start_pc)
+        try:
+            if engine != "reference" and eligible:
+                sim = self._fast_sim()
+                if sim is None and engine != "auto":
+                    requested = ("trace engine" if engine == "trace"
+                                 else "fast path")
+                    raise SimulationError(
+                        f"{requested} requested but the loaded program "
+                        f"cannot be specialised: "
+                        f"{self.fastpath_reject_reason}"
+                    )
+                if sim is not None:
+                    # The trace engine runs the fast engine's loop with
+                    # superblock dispatch switched on.
+                    tracer = (self._trace_sim() if engine == "trace"
+                              else None)
+                    self.last_engine = "trace" if tracer else "fast"
+                    cycles = sim.run(max_cycles=max_cycles,
+                                     watchdog_cycles=watchdog_cycles,
+                                     until_cycle=until_cycle,
+                                     start_cycle=start_cycle,
+                                     start_pc=start_pc, trace=tracer)
+                    return SimulationResult(cycles=cycles, stats=self.stats,
+                                            halted=not self._paused,
+                                            traps=list(self.traps))
+            self.last_engine = "reference"
+            return self._run_instrumented(
+                max_cycles=max_cycles, trace=trace,
+                watchdog_cycles=watchdog_cycles, until_cycle=until_cycle,
+                start_cycle=start_cycle, start_pc=start_pc)
+        except (TrapError, CycleLimitExceeded) as stop:
+            # Every engine stops at the exception's cycle: the stats
+            # report how far the run got (watchdog hangs included).
+            self.stats.cycles = stop.cycle
+            raise
 
     def _fast_sim(self):
         """The cached fast engine, or ``None`` if the program is ineligible."""
@@ -357,9 +365,6 @@ class EpicProcessor:
         port_budget = config.regfile_ops_per_cycle
         model_ports = config.model_port_limit
         forwarding = config.forwarding
-        share_bandwidth = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2  # 2x-clock controller
         branch_penalty = config.taken_branch_penalty
 
         # Pending write-backs: heap of (ready_cycle, seq, space, index, value).
@@ -681,11 +686,9 @@ class EpicProcessor:
                     port_stall = (port_ops + port_budget - 1) // port_budget - 1
                     stats.port_stall_cycles += port_stall
                     extra += port_stall
-            if share_bandwidth and bundle.n_mem:
-                demand = fetch_bits + 32 * bundle.n_mem
-                fetch_stall = (demand + bank_bits - 1) // bank_bits - 1
-                stats.fetch_stall_cycles += fetch_stall
-                extra += fetch_stall
+            if bundle.fetch_stall:
+                stats.fetch_stall_cycles += bundle.fetch_stall
+                extra += bundle.fetch_stall
 
             if taken and not halted:
                 stats.branches_taken += 1

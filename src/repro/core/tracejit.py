@@ -88,6 +88,7 @@ them, so they never outlive the simulator source they came from.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import decode as dec
@@ -129,19 +130,14 @@ def _issue_offsets(machine, pcs: List[int], follow,
     Passing an already-computed prefix as ``offsets`` extends it in
     place, so a chain walk can grow it one bundle at a time.
     """
-    config = machine.config
-    share = config.lsu_shares_fetch_bandwidth
-    fetch_bits = config.issue_width * 64
-    bank_bits = config.n_mem_banks * 32 * 2
+    bundles = machine._bundles
+    penalty = machine.config.taken_branch_penalty
     if offsets is None:
         offsets = [0]
     for k in range(len(offsets) - 1, len(pcs)):
-        n_mem = machine._bundles[pcs[k]].n_mem
-        step = 1
-        if share and n_mem:
-            step += (fetch_bits + 32 * n_mem + bank_bits - 1) // bank_bits - 1
+        step = 1 + bundles[pcs[k]].fetch_stall
         if k in follow:
-            step += config.taken_branch_penalty
+            step += penalty
         offsets.append(offsets[k] + step)
     return offsets
 
@@ -273,7 +269,6 @@ class _TraceBuilder(_Coder):
         self.bundles = [machine._bundles[pc] for pc in pcs]
         self.site_index = fastsim._site_index  # (pc, slot) -> GC site
         self.pc_static = fastsim._static      # per-PC (index, k) pairs
-        self.n_mem = fastsim._n_mem
         self.t_base = t_base = fastsim._t_base
 
         config = self.config
@@ -282,13 +277,8 @@ class _TraceBuilder(_Coder):
         self.model_ports = config.model_port_limit
         self.forwarding = config.forwarding
         offsets = _issue_offsets(machine, pcs, self.follow)
-        #: Static fetch stall per chain position: the issue gap minus
-        #: the bundle's own cycle and any followed-branch bubble.
-        self.fetch = [
-            offsets[k + 1] - offsets[k] - 1
-            - (self.penalty if k in self.follow else 0)
-            for k in range(len(pcs))
-        ]
+        #: Static fetch stall per chain position.
+        self.fetch = [bundle.fetch_stall for bundle in self.bundles]
         self.o_end = offsets.pop()  # cycle after the last bundle
         #: Issue-cycle offset of each chain position (entry = 0).
         self.offsets = offsets
@@ -734,7 +724,8 @@ class TraceSim:
 
     def __init__(self, machine, fastsim, hotness: int = 16,
                  cap: int = 64, cache: Optional[TraceCache] = None):
-        self._machine = machine
+        # A weak reference: the machine holds this engine.
+        self._machine = weakref.ref(machine)
         self._fastsim = fastsim
         self._hotness = max(1, hotness)
         self._cap = max(1, cap)
@@ -787,7 +778,7 @@ class TraceSim:
         offset, then issue order) ready by ``o``.  Predicates never hold
         a target, so they are not tracked.
         """
-        machine = self._machine
+        machine = self._machine()
         bundles = machine._bundles
         n_bundles = len(bundles)
         mask = machine.config.mask
@@ -892,7 +883,7 @@ class TraceSim:
         hand over cleanly.  When no such point exists in the back half,
         keep the raw cut — still correct, just slower.
         """
-        bundles = self._machine._bundles
+        bundles = self._machine()._bundles
         #: Latest write-back ready cycle among bundles [0, k).
         last_ready = [0] * (len(pcs) + 1)
         latest = 0
@@ -908,7 +899,7 @@ class TraceSim:
         return len(pcs)
 
     def _compile_trace(self, entry_pc: int) -> None:
-        machine = self._machine
+        machine = self._machine()
         code = None
         if self._cache is not None:
             code = self._cache.get(machine, entry_pc)
@@ -925,7 +916,7 @@ class TraceSim:
         self.traces_compiled += 1
 
     def _instantiate(self, code: _TraceCode) -> _TraceRuntime:
-        machine = self._machine
+        machine = self._machine()
         fastsim = self._fastsim
         ex = [0] * code.n_exits
         providers = {
@@ -947,6 +938,7 @@ class TraceSim:
             providers[fn_name] = machine._bundles[pc].ops[slot].fn
         namespace = {name: providers[name] for name in code.uses}
         exec(code.compiled, namespace)  # noqa: S102 - our generated source
-        runtime = _TraceRuntime(namespace[code.name], code, ex)
+        # Popped, so the function's globals do not hold the function.
+        runtime = _TraceRuntime(namespace.pop(code.name), code, ex)
         self._runtimes.append(runtime)
         return runtime

@@ -119,6 +119,14 @@ RETIRE_PARITY = "parity-protected"
 RETIRE_BOUNDS = "fault-out-of-range"
 RETIRE_ENGINE = "engine-error"
 
+#: Control kinds that may branch, and all control kinds.
+_BRANCH_KINDS = frozenset({dec.K_BR, dec.K_BRCT, dec.K_BRCF, dec.K_BRL})
+_CONTROL_KINDS = _BRANCH_KINDS | {dec.K_HALT}
+
+#: Kinds whose value comes from the op's semantics function (a MOVE
+#: has none and copies its source).
+_SEMANTICS_KINDS = frozenset({dec.K_ALU, dec.K_CUSTOM, dec.K_CMP})
+
 #: Default lane count per pass; bounds the memory plane at
 #: ``(DEFAULT_LANES + 1) * mem_words`` words.
 DEFAULT_LANES = 64
@@ -404,9 +412,6 @@ class VectorEngine:
         port_budget = config.regfile_ops_per_cycle
         model_ports = config.model_port_limit
         forwarding = config.forwarding
-        share_bandwidth = config.lsu_shares_fetch_bandwidth
-        fetch_bits = config.issue_width * 64
-        bank_bits = config.n_mem_banks * 32 * 2
         branch_penalty = config.taken_branch_penalty
         reference_cycles = self.reference_cycles
         policy = config.trap_policy
@@ -509,16 +514,6 @@ class VectorEngine:
         cut_interval = max(32, reference_cycles // 192)
         next_cut = cut_interval
 
-        # Overlay accessors for the drain's space dispatch.
-        def lane_gpr(lane: _Lane) -> dict:
-            return lane.gpr
-
-        def lane_pred(lane: _Lane) -> dict:
-            return lane.pred
-
-        def lane_btr(lane: _Lane) -> dict:
-            return lane.btr
-
         def stuck_key(lane: _Lane) -> tuple:
             space = lane.fault.space
             code = _P_GPR if space == _SPACE_GPR else \
@@ -559,6 +554,76 @@ class VectorEngine:
                 # scalar checker reruns it from scratch.
                 stats["wasted_lane_cycles"] += \
                     stats["iterations"] - lane.born
+
+        def port_stall(port_ops: int) -> int:
+            # Register-file port budget (§3.2): every started group of
+            # ``port_budget`` port operations beyond the first stalls
+            # the issue one cycle.
+            if port_ops > port_budget:
+                return (port_ops + port_budget - 1) // port_budget - 1
+            return 0
+
+        # Per pending-write space: the golden row, the divergence sets
+        # and each row's overlay (a lane's overlay dicts are cleared,
+        # never replaced).
+        by_space = tuple(
+            (gold, div, {lane.row: getattr(lane, name)
+                         for lane in lanes + fetch_lanes})
+            for gold, div, name in ((g_gpr, div_gpr, "gpr"),
+                                    (g_pred, div_pred, "pred"),
+                                    (g_btr, div_btr, "btr")))
+        pred_overlay = by_space[_P_PRED][2]
+        btr_overlay = by_space[_P_BTR][2]
+
+        def retire_disagreeing(rows, files, index: int, golden: int,
+                               reason: str) -> None:
+            # Retire every live lane whose overlay reads other than
+            # ``golden`` at ``index`` (a guard, a branch condition or a
+            # branch target): its control flow leaves row 0's.
+            for row in list(rows):
+                lane = row_lane[row]
+                if not lane.running:
+                    continue
+                if have_squash and row in squashed_rows:
+                    continue
+                if files[row].get(index, golden) != golden:
+                    retire_lane(lane, reason)
+
+        def land(gold, rows, files, index: int, golden: int, vec) -> None:
+            # Land one write-back at ``index`` on row 0 (``gold``) and
+            # clear or rewrite each divergent row's overlay entry there:
+            # rows absent from ``vec`` take the golden value (entry
+            # popped, divergence gone); rows in ``vec`` stay divergent;
+            # a ``_KEEP`` row retains its pre-landing value — which, for
+            # a previously-converged row, was the OLD golden and must
+            # now be written out explicitly.
+            old_gold = gold[index]
+            gold[index] = golden
+            if vec is None:
+                if rows:
+                    for row in rows:
+                        files[row].pop(index, None)
+                    rows.clear()
+                return
+            if rows:
+                stale = rows.difference(vec)
+                if stale:
+                    for row in stale:
+                        files[row].pop(index, None)
+                    rows.difference_update(stale)
+            for row, value in vec.items():
+                if not row_lane[row].running:
+                    continue
+                file = files[row]
+                if value is _KEEP:
+                    if index in file:
+                        rows.add(row)
+                    elif old_gold != golden:
+                        file[index] = old_gold
+                        rows.add(row)
+                else:
+                    file[index] = value
+                    rows.add(row)
 
         def vec_out(vec):
             # Normalise a value column before pushing it: squashed
@@ -616,8 +681,6 @@ class VectorEngine:
         # fails falls back to the ticket, so absorption can only ever
         # trade a scalar re-walk for an in-vector ride, never change an
         # outcome.
-        _CONTROL_KINDS = (dec.K_BR, dec.K_BRCT, dec.K_BRCF, dec.K_BRL,
-                          dec.K_HALT)
         _GPR_KINDS = (dec.K_ALU, dec.K_MOVI, dec.K_CUSTOM,
                       dec.K_LOAD, dec.K_LOAD_SPEC)
         # absorb_map: op slot -> [(row, payload)] merged into the value
@@ -664,28 +727,19 @@ class VectorEngine:
             lkind = lop.kind if lop is not None else dec.K_NOP
             if gkind in _CONTROL_KINDS or lkind in _CONTROL_KINDS:
                 return False
-            if share_bandwidth and corrupted.n_mem != golden_pb.n_mem:
+            if corrupted.fetch_stall != golden_pb.fetch_stall:
                 # Different memory-bank demand this cycle: the lane's
-                # fetch/LSU stall arithmetic may diverge from row 0.
-                g_demand = fetch_bits + 32 * golden_pb.n_mem
-                l_demand = fetch_bits + 32 * corrupted.n_mem
-                if (g_demand + bank_bits - 1) // bank_bits \
-                        != (l_demand + bank_bits - 1) // bank_bits:
-                    return False
+                # fetch stall would diverge from row 0's.
+                return False
             if model_ports:
                 # Equal read counts are sufficient but not necessary:
                 # only the *stall* (port ops over budget) must match,
                 # and ``writes_landing`` — already drained this cycle —
                 # is identical for a lane with no squashed writes.
-                g_ops = stage1_reads(golden_pb.gpr_read_set) \
-                    + writes_landing
-                l_ops = stage1_reads(corrupted.gpr_read_set) \
-                    + writes_landing
-                g_stall = (g_ops + port_budget - 1) // port_budget \
-                    if g_ops > port_budget else 1
-                l_stall = (l_ops + port_budget - 1) // port_budget \
-                    if l_ops > port_budget else 1
-                if g_stall != l_stall:
+                if port_stall(stage1_reads(golden_pb.gpr_read_set)
+                              + writes_landing) \
+                        != port_stall(stage1_reads(corrupted.gpr_read_set)
+                                      + writes_landing):
                     return False
             # A corrupted register field can land outside the
             # configured file — the scalar machine machine-checks on
@@ -747,6 +801,10 @@ class VectorEngine:
                         else:
                             payload = int(g_mem[laddr])
                     elif lkind == dec.K_PBR:
+                        if lop.s1 < 0:
+                            # The scalar machine machine-checks when a
+                            # negative target lands in its BTR.
+                            return False
                         payload = lop.s1
                     elif lkind == dec.K_MOVGBP:
                         payload = lop.s1 & mask if lop.s1_lit \
@@ -886,79 +944,25 @@ class VectorEngine:
                                         land_keeps.get(row, 0) + 1
                                     keep_regs.setdefault(
                                         row, []).append(index)
-                    if index:
-                        files = lane_gpr
-                        rows = div_gpr[index]
-                        old_gold = g_gpr[index]
-                        g_gpr[index] = golden
-                    else:
-                        rows = None
-                elif space == _P_PRED:
-                    if index:
-                        files = lane_pred
-                        rows = div_pred[index]
-                        old_gold = g_pred[index]
-                        g_pred[index] = golden
-                    else:
-                        rows = None
+                if not index and space != _P_BTR:
+                    continue  # r0 and p0 are hardwired
+                gold, div, files = by_space[space]
+                rows = div[index]
+                if vec is None and not rows:
+                    # No lane diverges here or is pushed: row 0 only
+                    # (the common case, kept off the call).
+                    gold[index] = golden
                 else:
-                    files = lane_btr
-                    rows = div_btr[index]
-                    old_gold = g_btr[index]
-                    g_btr[index] = golden
-                if rows is not None:
-                    # Landing a value clears or rewrites each row's
-                    # overlay entry at this register: rows absent from
-                    # ``vec`` take the golden value (entry popped,
-                    # divergence gone); rows in ``vec`` stay divergent;
-                    # a ``_KEEP`` row retains its pre-landing value —
-                    # which, for a previously-converged row, was the
-                    # OLD golden and must now be written out explicitly.
-                    if vec is None:
-                        if rows:
-                            for row in rows:
-                                files(row_lane[row]).pop(index, None)
-                            rows.clear()
-                    else:
-                        if rows:
-                            stale = rows.difference(vec)
-                            if stale:
-                                for row in stale:
-                                    files(row_lane[row]).pop(index, None)
-                                rows.difference_update(stale)
-                        if not keep_watch:
-                            for row, value in vec.items():
-                                lane = row_lane[row]
-                                if lane.running:
-                                    files(lane)[index] = value
-                                    rows.add(row)
-                        else:
-                            for row, value in vec.items():
-                                lane = row_lane[row]
-                                if not lane.running:
-                                    continue
-                                file = files(lane)
-                                if value is _KEEP:
-                                    if index in file:
-                                        rows.add(row)
-                                    elif old_gold != golden:
-                                        file[index] = old_gold
-                                        rows.add(row)
-                                else:
-                                    file[index] = value
-                                    rows.add(row)
-                if stuck_reg and (index or space == _P_BTR):
+                    land(gold, rows, files, index, golden, vec)
+                if stuck_reg:
                     hits = stuck_reg.get((space, index))
                     if hits:
                         # The landing write clobbered a stuck-at target;
                         # the injector forces the bit back before reads.
-                        srows = div_gpr[index] if space == _P_GPR else \
-                            div_pred[index] if space == _P_PRED else \
-                            div_btr[index]
                         for s in hits:
-                            self._assert_stuck(s, mask,
-                                               g_gpr, g_pred, g_btr)
-                            srows.add(s.row)
+                            self._apply_fault(s, mask,
+                                              g_gpr, g_pred, g_btr)
+                            rows.add(s.row)
 
             # ---- injector position: activations ----------------------
             while act_at < len(activations) \
@@ -1025,6 +1029,9 @@ class VectorEngine:
                 reads += 1
 
             # ---- stage 2: execute ------------------------------------
+            # Each op computes row 0's value (``golden``) and the
+            # divergent lanes' column (``vec``, {row: value} or None);
+            # the tail merges absorbed fetch deltas and pushes.
             taken = False
             target = 0
             for op_slot, op in enumerate(bundle.ops):
@@ -1034,28 +1041,25 @@ class VectorEngine:
                 guard = op.guard
                 if guard:
                     g_guard = g_pred[guard]
-                    grows = div_pred[guard]
-                    if grows:
-                        for row in list(grows):
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            if lane.pred.get(guard, g_guard) != g_guard:
-                                retire_lane(lane, RETIRE_GUARD)
+                    if div_pred[guard]:
+                        retire_disagreeing(div_pred[guard], pred_overlay,
+                                           guard, g_guard, RETIRE_GUARD)
                     if not g_guard:
                         continue  # squashed in the golden machine
 
-                if kind == dec.K_ALU:
+                vec = None
+                space = _P_GPR
+                if kind in _SEMANTICS_KINDS:
+                    # A CMPP's ``golden``/``vec`` are its condition; the
+                    # second destination takes the complement at the push.
                     fn = op.fn
                     a = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
                     if fn is None:  # MOVE
                         golden = a
                     else:
+                        third = mask if kind == dec.K_CUSTOM else width
                         b = op.s2 & mask if op.s2_lit else g_gpr[op.s2]
-                        golden = fn(a, b, width)
-                    vec = None
+                        golden = fn(a, b, third)
                     d1 = () if op.s1_lit else div_gpr[op.s1]
                     d2 = () if op.s2_lit or fn is None \
                         else div_gpr[op.s2]
@@ -1091,125 +1095,14 @@ class VectorEngine:
                             if la == a and lb == b:
                                 continue
                             try:
-                                vec[row] = fn(la, lb, width)
+                                vec[row] = fn(la, lb, third)
                             except SimulationError:
                                 # Division by zero in this lane only
                                 # (raised past every trap policy).
                                 retire_lane(lane, RETIRE_TRAP)
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_GPR, op.d1, golden,
-                                             vec_out(vec)))
-                elif kind == dec.K_CUSTOM:
-                    a = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
-                    b = op.s2 & mask if op.s2_lit else g_gpr[op.s2]
-                    golden = op.fn(a, b, mask)
-                    vec = None
-                    d1 = () if op.s1_lit else div_gpr[op.s1]
-                    d2 = () if op.s2_lit else div_gpr[op.s2]
-                    if op.gpr_reads and (d1 or d2):
-                        if not d2:
-                            drows = list(d1)
-                        elif not d1:
-                            drows = list(d2)
-                        else:
-                            drows = list(d1 | d2)
-                        vec = {}
-                        for row in drows:
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            la = a if op.s1_lit \
-                                else lane.gpr.get(op.s1, a)
-                            lb = b if op.s2_lit \
-                                else lane.gpr.get(op.s2, b)
-                            if la == a and lb == b:
-                                continue
-                            try:
-                                vec[row] = op.fn(la, lb, mask)
-                            except SimulationError:
-                                retire_lane(lane, RETIRE_TRAP)
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_GPR, op.d1, golden,
-                                             vec_out(vec)))
                 elif kind == dec.K_MOVI:
                     golden = op.s1 & mask
-                    vec = None
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_GPR, op.d1, golden,
-                                             vec_out(vec)))
-                elif kind == dec.K_CMP:
-                    fn = op.fn
-                    a = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
-                    b = op.s2 & mask if op.s2_lit else g_gpr[op.s2]
-                    condition = fn(a, b, width)
-                    vec1 = None
-                    vec2 = None
-                    d1 = () if op.s1_lit else div_gpr[op.s1]
-                    d2 = () if op.s2_lit else div_gpr[op.s2]
-                    if op.gpr_reads and (d1 or d2):
-                        if not d2:
-                            drows = list(d1)
-                        elif not d1:
-                            drows = list(d2)
-                        else:
-                            drows = list(d1 | d2)
-                        vec1 = {}
-                        vec2 = {}
-                        for row in drows:
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            la = a if op.s1_lit \
-                                else lane.gpr.get(op.s1, a)
-                            lb = b if op.s2_lit \
-                                else lane.gpr.get(op.s2, b)
-                            if la == a and lb == b:
-                                continue
-                            lc = fn(la, lb, width)
-                            vec1[row] = lc
-                            vec2[row] = 1 - lc
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aflag in absorb_map[op_slot]:
-                            if aflag != condition:
-                                if vec1 is None:
-                                    vec1 = {}
-                                    vec2 = {}
-                                vec1[arow] = aflag
-                                vec2[arow] = 1 - aflag
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_PRED, op.d1, condition,
-                                             vec_out(vec1)))
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_PRED, op.d2, 1 - condition,
-                                             vec_out(vec2)))
-                elif kind in (dec.K_LOAD, dec.K_LOAD_SPEC):
+                elif kind == dec.K_LOAD or kind == dec.K_LOAD_SPEC:
                     base = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
                     offset = op.s2 & mask if op.s2_lit else g_gpr[op.s2]
                     address = to_signed(base + offset & mask, width)
@@ -1220,7 +1113,6 @@ class VectorEngine:
                         golden = 0
                     else:
                         golden = int(g_mem[address])
-                    vec = None
                     if active:
                         vec = {}
                         # Rows divergent at an address operand compute
@@ -1280,24 +1172,17 @@ class VectorEngine:
                                 if have_squash and r in squashed_rows:
                                     continue
                                 vec[r] = int(mem_plane[r, address])
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_GPR, op.d1, golden,
-                                             vec_out(vec)))
                 elif kind == dec.K_STORE:
+                    # ``golden``/``vec`` are (address, value) pairs, and
+                    # no space: a store is buffered, not pushed.
+                    space = None
                     base = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
                     offset = op.s2 & mask if op.s2_lit else g_gpr[op.s2]
                     address = to_signed(base + offset & mask, width)
                     if not 0 <= address < self.mem_words:
                         raise _VectorAbort(f"golden store to {address}")
-                    golden = g_gpr[op.d1]  # store value travels in DEST1
-                    vec = None
+                    value = g_gpr[op.d1]  # store value travels in DEST1
+                    golden = (address, value)
                     d1 = () if op.s1_lit else div_gpr[op.s1]
                     d2 = () if op.s2_lit else div_gpr[op.s2]
                     dv = div_gpr[op.d1]
@@ -1318,8 +1203,8 @@ class VectorEngine:
                             lo = offset if op.s2_lit \
                                 else lane.gpr.get(op.s2, offset)
                             if lb == base and lo == offset:
-                                lvalue = lane.gpr.get(op.d1, golden)
-                                if lvalue != golden:
+                                lvalue = lane.gpr.get(op.d1, value)
+                                if lvalue != value:
                                     vec[row] = (address, lvalue)
                                 continue
                             laddr = to_signed(lb + lo & mask, width)
@@ -1334,30 +1219,13 @@ class VectorEngine:
                                         TRAP_OOB_STORE, op_slot)
                                 continue
                             vec[row] = (laddr,
-                                        lane.gpr.get(op.d1, golden))
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aentry in absorb_map[op_slot]:
-                            if aentry != (address, golden):
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aentry
-                    store_buffer.append((address, golden, vec_out(vec)))
+                                        lane.gpr.get(op.d1, value))
                 elif kind == dec.K_PBR:
+                    space = _P_BTR
                     golden = op.s1
-                    vec = None
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_BTR, op.d1, golden,
-                                             vec_out(vec)))
                 elif kind == dec.K_MOVGBP:
+                    space = _P_BTR
                     golden = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
-                    vec = None
                     if not op.s1_lit and div_gpr[op.s1]:
                         # vec_out overrides squashed rows with _KEEP, so
                         # the comprehension need not exclude them.
@@ -1365,85 +1233,61 @@ class VectorEngine:
                                if row_lane[row].running
                                and (value := row_lane[row].gpr.get(
                                    op.s1, golden)) != golden}
-                    if absorb_map and op_slot in absorb_map:
-                        for arow, aval in absorb_map[op_slot]:
-                            if aval != golden:
-                                if vec is None:
-                                    vec = {}
-                                vec[arow] = aval
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_BTR, op.d1, golden,
-                                             vec_out(vec)))
-                elif kind == dec.K_BR:
-                    taken = True
-                    target = g_btr[op.s1]
+                elif kind == dec.K_HALT:
+                    halted = True
                     if not policy_halt:
-                        control_events.append((op_slot, False, target))
-                    if div_btr[op.s1]:
-                        for row in list(div_btr[op.s1]):
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            if lane.btr.get(op.s1, target) != target:
-                                retire_lane(lane, RETIRE_BRANCH)
-                elif kind in (dec.K_BRCT, dec.K_BRCF):
-                    condition = g_pred[op.s2]
-                    if div_pred[op.s2]:
-                        for row in list(div_pred[op.s2]):
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            if lane.pred.get(op.s2, condition) \
-                                    != condition:
-                                retire_lane(lane, RETIRE_BRANCH)
-                    branches = condition if kind == dec.K_BRCT \
-                        else not condition
+                        control_events.append((op_slot, True, 0))
+                    continue
+                elif kind in _BRANCH_KINDS:
+                    branches = True
+                    if kind == dec.K_BRCT or kind == dec.K_BRCF:
+                        condition = g_pred[op.s2]
+                        if div_pred[op.s2]:
+                            retire_disagreeing(div_pred[op.s2], pred_overlay,
+                                               op.s2, condition,
+                                               RETIRE_BRANCH)
+                        branches = condition if kind == dec.K_BRCT \
+                            else not condition
                     if branches:
                         taken = True
                         target = g_btr[op.s1]
                         if not policy_halt:
                             control_events.append((op_slot, False, target))
                         if div_btr[op.s1]:
-                            for row in list(div_btr[op.s1]):
-                                lane = row_lane[row]
-                                if not lane.running:
-                                    continue
-                                if have_squash \
-                                        and row in squashed_rows:
-                                    continue
-                                if lane.btr.get(op.s1, target) \
-                                        != target:
-                                    retire_lane(lane, RETIRE_BRANCH)
-                elif kind == dec.K_BRL:
-                    taken = True
-                    target = g_btr[op.s1]
-                    if not policy_halt:
-                        control_events.append((op_slot, False, target))
-                    if div_btr[op.s1]:
-                        for row in list(div_btr[op.s1]):
-                            lane = row_lane[row]
-                            if not lane.running:
-                                continue
-                            if have_squash and row in squashed_rows:
-                                continue
-                            if lane.btr.get(op.s1, target) != target:
-                                retire_lane(lane, RETIRE_BRANCH)
-                    seq += 1
-                    heapq.heappush(pending, (cycle + op.latency, seq,
-                                             _P_GPR, op.d1,
-                                             (pc + 1) & mask,
-                                             vec_out(None)))
-                elif kind == dec.K_HALT:
-                    halted = True
-                    if not policy_halt:
-                        control_events.append((op_slot, True, 0))
+                            retire_disagreeing(div_btr[op.s1], btr_overlay,
+                                               op.s1, target, RETIRE_BRANCH)
+                    if kind != dec.K_BRL:
+                        continue
+                    golden = (pc + 1) & mask  # the link write-back
                 else:
                     raise _VectorAbort(f"unhandled op kind {kind}")
+
+                if absorb_map and op_slot in absorb_map:
+                    for arow, avalue in absorb_map[op_slot]:
+                        if avalue != golden:
+                            if vec is None:
+                                vec = {}
+                            vec[arow] = avalue
+                if space is None:
+                    store_buffer.append(golden + (vec_out(vec),))
+                    continue
+                if kind == dec.K_CMP:
+                    vec2 = None
+                    if vec:
+                        vec2 = {row: 1 - flag for row, flag in vec.items()}
+                    seq += 1
+                    heapq.heappush(pending, (cycle + op.latency, seq,
+                                             _P_PRED, op.d1, golden,
+                                             vec_out(vec)))
+                    seq += 1
+                    heapq.heappush(pending, (cycle + op.latency, seq,
+                                             _P_PRED, op.d2, 1 - golden,
+                                             vec_out(vec2)))
+                else:
+                    seq += 1
+                    heapq.heappush(pending, (cycle + op.latency, seq,
+                                             space, op.d1, golden,
+                                             vec_out(vec)))
 
             if absorb_map:
                 # One-shot by construction: the deltas rode the pushes
@@ -1522,18 +1366,17 @@ class VectorEngine:
                             hit = address if entry is None \
                                 else None if entry is _KEEP else entry[0]
                         if hit == s.fault.index:
-                            self._assert_stuck(s, mask,
-                                               g_gpr, g_pred, g_btr)
+                            self._apply_fault(s, mask,
+                                              g_gpr, g_pred, g_btr)
                 del store_buffer[:]
 
             # ---- issue-cost accounting -------------------------------
-            extra = 0
-            port_extra = 0
+            extra = bundle.fetch_stall
             if model_ports:
                 port_ops = reads + writes_landing
-                if port_ops > port_budget:
-                    port_extra = \
-                        (port_ops + port_budget - 1) // port_budget - 1
+                port_extra = 0
+                if port_ops > port_budget:  # the common case skips the call
+                    port_extra = port_stall(port_ops)
                     extra += port_extra
                 if keep_watch and land_keeps:
                     # Port-timing guard: a lane whose machine squashed
@@ -1559,17 +1402,9 @@ class VectorEngine:
                                     # landing on this forwarded reg:
                                     # its machine reads it via a port.
                                     lane_reads += 1
-                        lane_ops = lane_reads + writes_landing - skipped
-                        lane_extra = 0
-                        if lane_ops > port_budget:
-                            lane_extra = \
-                                (lane_ops + port_budget - 1) \
-                                // port_budget - 1
-                        if lane_extra != port_extra:
+                        if port_stall(lane_reads + writes_landing
+                                      - skipped) != port_extra:
                             retire_lane(lane, RETIRE_TRAP_TIMING)
-            if share_bandwidth and bundle.n_mem:
-                demand = fetch_bits + 32 * bundle.n_mem
-                extra += (demand + bank_bits - 1) // bank_bits - 1
 
             if taken and not halted:
                 extra += branch_penalty
@@ -1584,54 +1419,13 @@ class VectorEngine:
             return
 
         # Final drain: outstanding write-backs become architectural.
-        # Same overlay bookkeeping as the in-loop drain (a later golden
-        # landing on the same register must still clear earlier
-        # divergence), always honouring _KEEP.
+        # The scalar machine does not re-assert stuck-at bits after
+        # HALT, so only the overlay landing runs here.
         while pending:
             _, _, space, index, golden, vec = heapq.heappop(pending)
-            if space == _P_GPR and index:
-                files = lane_gpr
-                rows = div_gpr[index]
-                old_gold = g_gpr[index]
-                g_gpr[index] = golden
-            elif space == _P_PRED and index:
-                files = lane_pred
-                rows = div_pred[index]
-                old_gold = g_pred[index]
-                g_pred[index] = golden
-            elif space == _P_BTR:
-                files = lane_btr
-                rows = div_btr[index]
-                old_gold = g_btr[index]
-                g_btr[index] = golden
-            else:
-                continue
-            if vec is None:
-                if rows:
-                    for row in rows:
-                        files(row_lane[row]).pop(index, None)
-                    rows.clear()
-                continue
-            if rows:
-                stale = rows.difference(vec)
-                if stale:
-                    for row in stale:
-                        files(row_lane[row]).pop(index, None)
-                    rows.difference_update(stale)
-            for row, value in vec.items():
-                lane = row_lane[row]
-                if not lane.running:
-                    continue
-                file = files(lane)
-                if value is _KEEP:
-                    if index in file:
-                        rows.add(row)
-                    elif old_gold != golden:
-                        file[index] = old_gold
-                        rows.add(row)
-                else:
-                    file[index] = value
-                    rows.add(row)
+            if index or space == _P_BTR:
+                gold, div, files = by_space[space]
+                land(gold, div[index], files, index, golden, vec)
 
         if cycle != reference_cycles:
             raise _VectorAbort(
@@ -1696,30 +1490,6 @@ class VectorEngine:
             if seu:
                 value = (value ^ (1 << bit)) & mask
             elif level:
-                value |= (1 << bit) & mask
-            else:
-                value &= ~(1 << bit)
-            lane.mem[index] = value
-
-    def _assert_stuck(self, lane: _Lane, mask: int,
-                      g_gpr, g_pred, g_btr) -> None:
-        """Re-assert a stuck-at bit (the injector does this every cycle)."""
-        fault = lane.fault
-        space, index, bit = fault.space, fault.index, fault.bit
-        level = 1 if fault.model == _MODEL_STUCK1 else 0
-        if space == _SPACE_GPR:
-            value = lane.gpr.get(index, g_gpr[index])
-            value = (value | (1 << bit)) if level else (value & ~(1 << bit))
-            lane.gpr[index] = value & mask
-        elif space == _SPACE_PRED:
-            lane.pred[index] = level
-        elif space == _SPACE_BTR:
-            value = lane.btr.get(index, g_btr[index])
-            lane.btr[index] = (value | (1 << bit)) if level \
-                else (value & ~(1 << bit))
-        else:
-            value = int(lane.mem[index])
-            if level:
                 value |= (1 << bit) & mask
             else:
                 value &= ~(1 << bit)

@@ -10,14 +10,16 @@ optimiser, two instruction selectors, the register allocator, the list
 scheduler and both simulators against each other.
 
 The cross-engine test runs the same programs on the EPIC core's
-reference, fast and trace engines, including paused-and-resumed runs.
+reference, fast and trace engines, including paused-and-resumed runs,
+and the vector-engine test runs seeded fault campaigns on them, batched
+against one scalar run per fault.
 Its programs also index the array with computed indices, mostly masked
 into range and occasionally far outside memory, so loads and stores
 take the engines' dynamic bounds tests and some runs end in a trap.  It
-checks a fixed, derandomised corpus by default; loading the
-``cross-engine-wide`` profile (``tests/conftest.py``) with
-``--hypothesis-profile=cross-engine-wide --hypothesis-seed=N`` widens it
-to 300 seeded programs.
+checks a fixed, derandomised corpus by default, and so does the vector
+test; loading the ``cross-engine-wide`` profile (``tests/conftest.py``)
+with ``--hypothesis-profile=cross-engine-wide --hypothesis-seed=N``
+widens both to 300 seeded programs.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from repro.baseline import Sa110Simulator, compile_minic_to_armlet
 from repro.config import epic_config, epic_with_alus
 from repro.core import EpicProcessor
 from repro.errors import TrapError
+from repro.harness.faultcampaign import generate_faults, result_payload
 from repro.ir import run_module
 from repro.lang import compile_minic
 from repro.perf.bench import stats_fingerprint
+from repro.reliability import LockstepChecker
+from repro.workloads import WorkloadSpec
 
 _VARS = ["v0", "v1", "v2", "v3"]
 _ARRAY = "garr"
@@ -232,6 +237,8 @@ def test_random_programs_agree_across_engines(source, n_alus, cap,
     reference = machine()
     trap = finish(reference, "reference")
     expected = (trap, state(reference))
+    if trap is not None:
+        assert reference.stats.cycles == trap[1]
     end = reference.stats.cycles if trap is None else trap[1]
     pause_at = 1 + end * pause_percent // 100
     trapped_stats = {}
@@ -248,9 +255,31 @@ def test_random_programs_agree_across_engines(source, n_alus, cap,
             else:
                 # A trapped run keeps the specialised engines' documented
                 # hoisted counters, so its stats are compared between
-                # them; ``cycles`` is not, as no engine updates it on a
-                # trap (the trap's own cycle is compared above).
-                del stats["cycles"]
+                # them; every engine stops its cycle count at the trap.
+                assert cpu.stats.cycles == trap[1], (engine, until_cycle)
                 assert stats == trapped_stats.setdefault(until_cycle,
                                                          stats), \
                     (engine, until_cycle)
+
+
+@_CROSS_ENGINE
+@given(programs(), st.sampled_from([1, 4]),
+       st.sampled_from(["halt", "squash-bundle", "record-and-continue"]),
+       st.integers(1, 1 << 16))
+def test_random_programs_agree_on_vector_engine(source, n_alus, policy,
+                                                seed):
+    # 32 faults over every space (stuck-at and ifetch ones included):
+    # the batched walk must classify each exactly as a scalar run.
+    spec = WorkloadSpec(name="generated", source=source,
+                        expected={_ARRAY: [0] * _ARRAY_SIZE},
+                        mem_words=4096)
+    checker = LockstepChecker(spec, epic_with_alus(n_alus,
+                                                   trap_policy=policy))
+    faults = generate_faults(checker, 32, seed)
+    batched, stats = checker.run_batch(faults)
+    assert [result_payload(result) for result in batched] == \
+        [result_payload(checker.run_one(fault)) for fault in faults]
+    # Not vacuous: the program's lanes rode the vector engine.
+    assert stats["engine_downgrade_reason"] is None
+    assert stats["vector_faults"] == len(faults)
+    assert stats["activated"] > 0

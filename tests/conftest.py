@@ -7,9 +7,9 @@ from hypothesis import settings
 
 from repro.config import epic_config, epic_with_alus
 
-# The cross-engine random-program differential
-# (tests/backend/test_differential_property.py) runs a fixed corpus in
-# tier-1; CI widens it to 300 seeded programs by loading this profile.
+# The cross-engine and vector-engine random-program differentials
+# (tests/backend/test_differential_property.py) run a fixed corpus in
+# tier-1; CI widens them to 300 seeded programs by loading this profile.
 settings.register_profile("cross-engine-wide", max_examples=300,
                           deadline=None)
 

@@ -7,7 +7,9 @@ instrumented reference loop, whose outputs are in turn validated
 against each workload's golden reference values.
 """
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -114,9 +116,24 @@ main:
 """
 
 
-def generated_bundles(config, mem_words):
+#: Bundles whose ops all write back one cycle after issue, guarded and
+#: unguarded, in both orders (4 ALUs).
+SAME_LATENCY_WRITES = """
+main:
+  MOVI r4, 7
+  CMPP_EQ p1, p2, r4, 7
+  { ADD r5, r4, 1 ; ADD r6, r4, 2 ; (p1) ADD r7, r4, 3 ; (p2) ADD r8, r4, 4 }
+  { (p1) ADD r9, r4, 5 ; ADD r10, r4, 6 ; ADD r11, r4, 7 }
+  SW r7, r0, 30
+  SW r8, r0, 31
+  SW r9, r0, 32
+  HALT
+"""
+
+
+def generated_bundles(config, mem_words, source=CODEGEN_SHAPES):
     """The fast engine's generated source, by bundle function name."""
-    cpu = EpicProcessor(config, assemble(CODEGEN_SHAPES, config),
+    cpu = EpicProcessor(config, assemble(source, config),
                         mem_words=mem_words)
     source = fastpath._generated_code(cpu).source
     return {chunk.split("(", 1)[0][len("def "):]: chunk
@@ -177,6 +194,17 @@ class TestGeneratedCode:
         config = epic_config()
         run_both(config, assemble(CODEGEN_SHAPES, config), 64)
 
+    def test_one_queue_lookup_per_bundle_and_latency(self):
+        config = epic_with_alus(4)
+        bundles = generated_bundles(config, 64, SAME_LATENCY_WRITES)
+        # Unguarded first: its lookup serves all four writes.
+        assert bundles["_b2"].count("PD.get(") == 1
+        # Guarded first: its lookup stays inside its block, so the
+        # unguarded ops look up once more, and only once.
+        assert bundles["_b3"].count("PD.get(") == 2
+        assert "\n        _q1 = PD.get(_t)" in bundles["_b3"]
+        run_both(config, assemble(SAME_LATENCY_WRITES, config), 64)
+
 
 class TestDifferentialAssembly:
     """Hand-written corner cases beyond what the compiler emits."""
@@ -215,6 +243,32 @@ OOB_STORE = """
   SW r4, r4, 0
   HALT
 """
+
+
+class TestLifetime:
+    """A specialised machine is not cyclic garbage: dropping the last
+    reference frees it, its engines and its memory at once."""
+
+    @pytest.mark.parametrize("engine", ["fast", "trace"])
+    def test_dropped_machine_freed_without_the_collector(self, engine):
+        spec = SMALL_WORKLOADS["SHA"]()
+        config = epic_with_alus(2)
+        program = compile_minic_to_epic(spec.source, config).program
+        gc.collect()
+        gc.disable()
+        try:
+            cpu = EpicProcessor(config, program, mem_words=spec.mem_words,
+                                trace_hotness=2)
+            cpu.run(engine=engine)
+            assert cpu.last_engine == engine
+            if engine == "trace":
+                assert cpu._tracesim.trace_count > 0
+            machine, memory = weakref.ref(cpu), weakref.ref(cpu.memory)
+            del cpu
+            assert machine() is None
+            assert memory() is None
+        finally:
+            gc.enable()
 
 
 class TestTrapEquivalence:

@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro.config import epic_with_alus
-from repro.core import vector
+from repro.core import EpicProcessor, vector
+from repro.core import decode as dec
 from repro.harness.cli import quick_specs
 from repro.harness.faultcampaign import (
     campaign_payload,
@@ -23,6 +24,8 @@ from repro.harness.faultcampaign import (
     result_payload,
     run_campaign,
 )
+from repro.isa.encoding import InstructionFormat
+from repro.mdes import Mdes
 from repro.reliability import (
     FAULT_SPACES,
     FaultSpec,
@@ -32,8 +35,10 @@ from repro.reliability import (
     Outcome,
     SPACE_BTR,
     SPACE_GPR,
+    SPACE_IFETCH,
     SPACE_MEM,
 )
+from repro.reliability.fault import corrupt_fetched_word
 from repro.workloads import WorkloadSpec
 from tests.reliability.test_lockstep import tiny_spec
 
@@ -89,6 +94,36 @@ def squash_checker():
 
 def _payloads(results):
     return [result_payload(result) for result in results]
+
+
+def _negative_pbr_faults(checker):
+    """Fetch faults that flip a ``PBR`` literal negative in place, each
+    timed at its bundle's first fetch."""
+    config = checker.config
+    program = checker.compilation.program
+    mdes = Mdes(config)
+    fmt = InstructionFormat(config, mdes.table)
+    first_fetch = {}
+    cpu = EpicProcessor(config, program, mem_words=checker.spec.mem_words)
+    cpu.run(engine="reference",
+            trace=lambda cycle, pc, bundle: first_fetch.setdefault(pc,
+                                                                   cycle))
+    faults = []
+    for pc, cycle in sorted(first_fetch.items()):
+        for slot, op in enumerate(cpu._bundles[pc].ops):
+            if op.kind != dec.K_PBR:
+                continue
+            for bit in range(fmt.instruction_bits):
+                corrupted = corrupt_fetched_word(
+                    fmt, mdes, program, config.issue_width, pc, slot,
+                    bit)[0]
+                if corrupted is None:
+                    continue
+                flipped = corrupted.ops[slot]
+                if (flipped.kind == dec.K_PBR and flipped.d1 == op.d1
+                        and flipped.s1 < 0):
+                    faults.append(FaultSpec(SPACE_IFETCH, slot, bit, cycle))
+    return faults
 
 
 class TestWorkloadMachineGrid:
@@ -217,6 +252,23 @@ class TestLaneRetirement:
         assert stats["retired"].get(vector.RETIRE_IFETCH, 0) == 0
         assert stats["scalar_faults"] == sum(stats["retired"].values())
         assert _payloads(results) == _payloads(scalar)
+
+    def test_negative_branch_target_fetch_is_not_absorbed(self, checker):
+        # A flipped PBR literal can turn its target negative without
+        # changing the bundle's timing shape; the scalar machine then
+        # machine-checks when the target lands in the BTR, even if no
+        # branch ever reads it.  Found by the generated-program vector
+        # differential: the walk absorbed such a fetch and classified
+        # the lane MASKED.
+        faults = _negative_pbr_faults(checker)
+        assert faults
+        results, stats = checker.run_batch(faults)
+        assert stats["absorbed_lanes"] == 0
+        assert stats["rewalk_lanes"] == len(faults)
+        assert _payloads(results) == \
+            _payloads([checker.run_one(fault) for fault in faults])
+        assert all(result.detail.startswith(
+            "machine check: negative branch target") for result in results)
 
     def test_trap_risk_lane_retires_mid_vector(self, checker):
         # A flipped base register sends a store out of bounds: the lane
