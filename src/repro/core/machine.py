@@ -282,10 +282,13 @@ class EpicProcessor:
                 max_cycles=max_cycles, trace=trace,
                 watchdog_cycles=watchdog_cycles, until_cycle=until_cycle,
                 start_cycle=start_cycle, start_pc=start_pc)
-        except (TrapError, CycleLimitExceeded) as stop:
+        except SimulationError as stop:
             # Every engine stops at the exception's cycle: the stats
-            # report how far the run got (watchdog hangs included).
-            self.stats.cycles = stop.cycle
+            # report how far the run got (watchdog hangs and machine
+            # checks included).  An error without a cycle (a bad
+            # request, a load-time error) leaves them alone.
+            if stop.cycle >= 0:
+                self.stats.cycles = stop.cycle
             raise
 
     def _fast_sim(self):
@@ -461,6 +464,10 @@ class EpicProcessor:
                     stats.traps += 1
                     if policy == "halt":
                         raise
+                except SimulationError as error:
+                    # A machine check (e.g. a negative branch target)
+                    # stops the run under every trap policy.
+                    raise error.annotate(cycle, pc)
 
             bundle = bundles[pc]
             stats.bundles += 1
@@ -716,6 +723,8 @@ class EpicProcessor:
                 stats.traps += 1
                 if policy == "halt":
                     raise
+            except SimulationError as error:
+                raise error.annotate(cycle, pc)
 
         stats.cycles = cycle
         return SimulationResult(cycles=cycle, stats=stats, halted=True,

@@ -32,14 +32,11 @@ golden machine's *control flow*:
   schedule and hence the port-stall timing;
 * a lane whose branch condition or branch target disagrees retires
   (``branch-divergence``);
-* under the ``halt`` trap policy a lane that would trap (out-of-bounds
-  load/store) retires (``trap-risk``); under ``squash-bundle`` and
-  ``record-and-continue`` the trap is *recorded in-lane* instead — the
-  lane keeps riding with its squashed write-backs pinned to ``_KEEP``
-  in the value columns, and only retires if the recorded trap bends its
-  control flow or port-stall timing away from the golden machine's
-  (``trap-timing``).  Division by zero always retires (``trap-risk``):
-  the scalar machine raises it past every policy;
+* a lane that would trap (out-of-bounds load/store) or divide by zero
+  retires (``trap-risk``) under every trap policy: halting, squashing
+  the bundle or recording the trap is the scalar machine's job, and
+  non-halt campaigns still ride the vector for every lane that does
+  not trap;
 * instruction-fetch faults are resolved at the fetch they corrupt: a
   word that no longer decodes under the ``halt`` policy is classified
   DETECTED on the spot (the caller supplies the exact trap text via the
@@ -88,12 +85,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import decode as dec
-from repro.errors import (
-    TRAP_OOB_LOAD,
-    TRAP_OOB_STORE,
-    SimulationError,
-    TrapError,
-)
+from repro.errors import SimulationError
 from repro.isa.semantics import to_signed
 
 #: Fault target spaces / models, mirrored locally (``repro.reliability``
@@ -113,7 +105,6 @@ _MODELS = (_MODEL_SEU, _MODEL_STUCK0, _MODEL_STUCK1)
 RETIRE_GUARD = "guard-divergence"
 RETIRE_BRANCH = "branch-divergence"
 RETIRE_TRAP = "trap-risk"
-RETIRE_TRAP_TIMING = "trap-timing"
 RETIRE_IFETCH = "ifetch-rewrite"
 RETIRE_PARITY = "parity-protected"
 RETIRE_BOUNDS = "fault-out-of-range"
@@ -136,10 +127,6 @@ _P_GPR = 0
 _P_PRED = 1
 _P_BTR = 2
 
-#: Sentinel for squashed per-lane write-backs (non-halt trap policies):
-#: a ``vec[row]`` of ``_KEEP`` means the lane's machine never issued
-#: the write, so the drain must leave the lane's current value alone.
-_KEEP = object()
 
 @dataclass
 class LaneOutcome:
@@ -186,7 +173,7 @@ class _Lane:
     """One injected machine riding the walk."""
 
     __slots__ = ("index", "fault", "row", "gpr", "pred", "btr", "mem",
-                 "witness", "stuck", "traps", "born", "running")
+                 "witness", "stuck", "born", "running")
 
     def __init__(self, index: int, fault, row: int):
         self.index = index       # position in the caller's fault list
@@ -212,9 +199,6 @@ class _Lane:
         #: list membership tests.
         self.running = False
         self.stuck = fault.model != _MODEL_SEU
-        #: Traps recorded in-lane under non-halt trap policies, in the
-        #: order the lane's machine would raise them.
-        self.traps: List[TrapError] = []
         #: ``stats["iterations"]`` value at activation; -1 until then.
         #: Used to attribute walked cycles to lanes that later retire.
         self.born = -1
@@ -273,24 +257,6 @@ class VectorEngine:
 
     def _masked(self) -> LaneOutcome:
         return LaneOutcome("masked", "outputs match", self.reference_cycles)
-
-    def _resolve_converged(self, lane: "_Lane") -> LaneOutcome:
-        """Classify a lane whose state reconverged onto the golden row.
-
-        State convergence is MASKED *unless* the lane recorded traps on
-        the way (non-halt policies keep running through them): the
-        scalar checker reports those DETECTED before it ever diffs
-        outputs, with the reference cycle count — the recorded trap
-        provably never bent the lane's timing, or it would have
-        retired.
-        """
-        if lane.traps:
-            trap = lane.traps[0]
-            return LaneOutcome(
-                "detected",
-                f"{len(lane.traps)} trap(s), first: {trap}",
-                self.reference_cycles, trap_cause=trap.cause)
-        return self._masked()
 
     # -- the pass ----------------------------------------------------------
 
@@ -414,8 +380,6 @@ class VectorEngine:
         forwarding = config.forwarding
         branch_penalty = config.taken_branch_penalty
         reference_cycles = self.reference_cycles
-        policy = config.trap_policy
-        policy_halt = policy == "halt"
 
         # Golden row (row 0) — fresh-machine state.
         g_gpr = [0] * n_gprs
@@ -488,22 +452,8 @@ class VectorEngine:
         # push, so activation needs no queue fix-up.
         pending: List[tuple] = []
         seq = 0
-        seq_start = 0
         gpr_ready_at = [-1] * n_gprs
         store_buffer: List[tuple] = []
-
-        # Non-halt trap policies: a lane that traps keeps riding.  Its
-        # machine records the trap, skips the rest of the bundle
-        # (``squashed_rows``) and — under squash-bundle — retracts the
-        # bundle's earlier effects; the walk models both by pinning the
-        # lane's rows in the affected value columns to ``_KEEP``.
-        # ``keep_watch`` latches True at the first recorded trap, so the
-        # halt-policy hot path pays nothing for any of this.
-        squashed_rows: set = set()
-        trapped_bundle: List[tuple] = []
-        control_events: List[tuple] = []
-        have_squash = False
-        keep_watch = False
 
         # Convergence cuts compare lanes against the *live* golden row,
         # not against stored checkpoints, so the cut cadence is free to
@@ -584,8 +534,6 @@ class VectorEngine:
                 lane = row_lane[row]
                 if not lane.running:
                     continue
-                if have_squash and row in squashed_rows:
-                    continue
                 if files[row].get(index, golden) != golden:
                     retire_lane(lane, reason)
 
@@ -593,11 +541,7 @@ class VectorEngine:
             # Land one write-back at ``index`` on row 0 (``gold``) and
             # clear or rewrite each divergent row's overlay entry there:
             # rows absent from ``vec`` take the golden value (entry
-            # popped, divergence gone); rows in ``vec`` stay divergent;
-            # a ``_KEEP`` row retains its pre-landing value — which, for
-            # a previously-converged row, was the OLD golden and must
-            # now be written out explicitly.
-            old_gold = gold[index]
+            # popped, divergence gone); rows in ``vec`` stay divergent.
             gold[index] = golden
             if vec is None:
                 if rows:
@@ -612,62 +556,9 @@ class VectorEngine:
                         files[row].pop(index, None)
                     rows.difference_update(stale)
             for row, value in vec.items():
-                if not row_lane[row].running:
-                    continue
-                file = files[row]
-                if value is _KEEP:
-                    if index in file:
-                        rows.add(row)
-                    elif old_gold != golden:
-                        file[index] = old_gold
-                        rows.add(row)
-                else:
-                    file[index] = value
+                if row_lane[row].running:
+                    files[row][index] = value
                     rows.add(row)
-
-        def vec_out(vec):
-            # Normalise a value column before pushing it: squashed
-            # lanes are pinned to _KEEP, and an empty column degrades
-            # to None so the drain takes its all-golden fast path.
-            if have_squash:
-                if vec is None:
-                    vec = {}
-                for row in squashed_rows:
-                    vec[row] = _KEEP
-                return vec
-            return vec or None
-
-        def lane_trap(lane: _Lane, message: str, cause: str,
-                      slot: int) -> None:
-            # Mirrors the machine's non-halt TrapError handler: record
-            # the annotated trap, squash the rest of the bundle for
-            # this lane, and — under squash-bundle — retract the
-            # bundle's earlier write-backs and buffered stores by
-            # pinning this lane's rows to _KEEP.
-            nonlocal have_squash, keep_watch
-            trap = TrapError(message, cause=cause)
-            trap.annotate(cycle, pc)
-            lane.traps.append(trap)
-            row = lane.row
-            squashed_rows.add(row)
-            trapped_bundle.append((lane, slot))
-            have_squash = True
-            keep_watch = True
-            if policy == "squash-bundle":
-                for i, entry in enumerate(pending):
-                    if entry[1] > seq_start:
-                        vec = entry[5]
-                        if vec is None:
-                            # (ready, seq) lead the tuple and are
-                            # untouched, so the heap order stands.
-                            pending[i] = entry[:5] + ({row: _KEEP},)
-                        else:
-                            vec[row] = _KEEP
-                for i, (saddr, sgold, svec) in enumerate(store_buffer):
-                    if svec is None:
-                        store_buffer[i] = (saddr, sgold, {row: _KEEP})
-                    else:
-                        svec[row] = _KEEP
 
         # ---- in-lane absorption of rewritten fetches ---------------------
         # A transient ifetch fault rewrites exactly one fetched word; the
@@ -702,9 +593,10 @@ class VectorEngine:
             return ()
 
         def stage1_reads(read_set) -> int:
-            # The exact stage-1 read-port count; ``gpr_ready_at`` is
-            # stable between the drain and stage 1, so evaluating it at
-            # fetch resolution matches what stage 1 will see.
+            # The exact stage-1 read-port count, for row 0's stage 1
+            # and for ``absorb``; ``gpr_ready_at`` is stable between
+            # the drain and stage 1, so evaluating it at fetch
+            # resolution matches what stage 1 will see.
             n = 0
             for reg in read_set:
                 if reg == 0:
@@ -735,7 +627,7 @@ class VectorEngine:
                 # Equal read counts are sufficient but not necessary:
                 # only the *stall* (port ops over budget) must match,
                 # and ``writes_landing`` — already drained this cycle —
-                # is identical for a lane with no squashed writes.
+                # is identical for every lane.
                 if port_stall(stage1_reads(golden_pb.gpr_read_set)
                               + writes_landing) \
                         != port_stall(stage1_reads(corrupted.gpr_read_set)
@@ -843,11 +735,6 @@ class VectorEngine:
         cycle = 0
         pc = self.program.entry
         halted = False
-        # Squashed-landing bookkeeping (refreshed each drain once
-        # keep_watch latches; None until the first recorded trap, and
-        # correctly empty ON the trap cycle — a write squashed this
-        # bundle cannot land before the next one).
-        land_keeps = keep_regs = landing_counts = None
 
         while not halted:
             if cycle >= reference_cycles:
@@ -884,8 +771,7 @@ class VectorEngine:
                             lane.witness = word
                         else:
                             drop(lane)
-                            outcomes[lane.index] = \
-                                self._resolve_converged(lane)
+                            outcomes[lane.index] = self._masked()
                             stats["cuts"] += 1
                     next_cut = cycle + cut_interval
                 elif not active and stream is not None:
@@ -920,30 +806,12 @@ class VectorEngine:
 
             # ---- write-back drain (landing writes count port ops) ----
             writes_landing = 0
-            if keep_watch:
-                # Per-cycle squashed-landing bookkeeping for the port
-                # timing guard: rows -> skipped landing writes, rows ->
-                # squashed destination regs, reg -> landing writes.
-                land_keeps = {}
-                keep_regs = {}
-                landing_counts = {}
             while pending and pending[0][0] <= cycle:
                 ready, _, space, index, golden, vec = heapq.heappop(pending)
                 if space == _P_GPR:
                     gpr_ready_at[index] = ready
                     if ready == cycle:
                         writes_landing += 1
-                        if keep_watch:
-                            landing_counts[index] = \
-                                landing_counts.get(index, 0) + 1
-                            if vec is not None:
-                                for row, value in vec.items():
-                                    if value is not _KEEP:
-                                        continue
-                                    land_keeps[row] = \
-                                        land_keeps.get(row, 0) + 1
-                                    keep_regs.setdefault(
-                                        row, []).append(index)
                 if not index and space != _P_BTR:
                     continue  # r0 and p0 are hardwired
                 gold, div, files = by_space[space]
@@ -1011,22 +879,9 @@ class VectorEngine:
             bundle = bundles[pc]
             stats["iterations"] += 1
             stats["lane_cycles"] += len(active)
-            if have_squash:
-                squashed_rows.clear()
-                have_squash = False
-            if control_events:
-                del control_events[:]
-            seq_start = seq
 
             # ---- stage 1: read-port accounting (lane-invariant) ------
-            reads = 0
-            for reg in bundle.gpr_read_set:
-                if reg == 0:
-                    continue
-                if forwarding and reg < n_gprs \
-                        and gpr_ready_at[reg] == cycle:
-                    continue  # forwarded
-                reads += 1
+            reads = stage1_reads(bundle.gpr_read_set)
 
             # ---- stage 2: execute ------------------------------------
             # Each op computes row 0's value (``golden``) and the
@@ -1082,8 +937,6 @@ class VectorEngine:
                             lane = row_lane[row]
                             if not lane.running:
                                 continue
-                            if have_squash and row in squashed_rows:
-                                continue
                             la = a if op.s1_lit \
                                 else lane.gpr.get(op.s1, a)
                             if fn is None:
@@ -1127,8 +980,6 @@ class VectorEngine:
                                 lane = row_lane[row]
                                 if not lane.running:
                                     continue
-                                if have_squash and row in squashed_rows:
-                                    continue
                                 lb = base if op.s1_lit \
                                     else lane.gpr.get(op.s1, base)
                                 lo = offset if op.s2_lit \
@@ -1142,18 +993,12 @@ class VectorEngine:
                                     if kind != dec.K_LOAD:
                                         if golden:
                                             vec[row] = 0  # dismissible
-                                    elif policy_halt:
+                                    else:
                                         # Would trap OOB: exact
                                         # classification is the
-                                        # scalar's job under the halt
-                                        # policy.
+                                        # scalar's job under every
+                                        # trap policy.
                                         retire_lane(lane, RETIRE_TRAP)
-                                    else:
-                                        lane_trap(
-                                            lane,
-                                            f"load from invalid "
-                                            f"address {laddr}",
-                                            TRAP_OOB_LOAD, op_slot)
                                     continue
                                 value = lane.mem[laddr]
                                 if value != golden:
@@ -1168,8 +1013,6 @@ class VectorEngine:
                                     continue
                                 lane = row_lane.get(r)
                                 if lane is None or not lane.running:
-                                    continue
-                                if have_squash and r in squashed_rows:
                                     continue
                                 vec[r] = int(mem_plane[r, address])
                 elif kind == dec.K_STORE:
@@ -1196,8 +1039,6 @@ class VectorEngine:
                             lane = row_lane[row]
                             if not lane.running:
                                 continue
-                            if have_squash and row in squashed_rows:
-                                continue
                             lb = base if op.s1_lit \
                                 else lane.gpr.get(op.s1, base)
                             lo = offset if op.s2_lit \
@@ -1209,14 +1050,7 @@ class VectorEngine:
                                 continue
                             laddr = to_signed(lb + lo & mask, width)
                             if not 0 <= laddr < self.mem_words:
-                                if policy_halt:
-                                    retire_lane(lane, RETIRE_TRAP)
-                                else:
-                                    lane_trap(
-                                        lane,
-                                        f"store to invalid address "
-                                        f"{laddr}",
-                                        TRAP_OOB_STORE, op_slot)
+                                retire_lane(lane, RETIRE_TRAP)
                                 continue
                             vec[row] = (laddr,
                                         lane.gpr.get(op.d1, value))
@@ -1227,16 +1061,12 @@ class VectorEngine:
                     space = _P_BTR
                     golden = op.s1 & mask if op.s1_lit else g_gpr[op.s1]
                     if not op.s1_lit and div_gpr[op.s1]:
-                        # vec_out overrides squashed rows with _KEEP, so
-                        # the comprehension need not exclude them.
-                        vec = {row: value for row in div_gpr[op.s1]
+                        vec ={row: value for row in div_gpr[op.s1]
                                if row_lane[row].running
                                and (value := row_lane[row].gpr.get(
                                    op.s1, golden)) != golden}
                 elif kind == dec.K_HALT:
                     halted = True
-                    if not policy_halt:
-                        control_events.append((op_slot, True, 0))
                     continue
                 elif kind in _BRANCH_KINDS:
                     branches = True
@@ -1251,8 +1081,6 @@ class VectorEngine:
                     if branches:
                         taken = True
                         target = g_btr[op.s1]
-                        if not policy_halt:
-                            control_events.append((op_slot, False, target))
                         if div_btr[op.s1]:
                             retire_disagreeing(div_btr[op.s1], btr_overlay,
                                                op.s1, target, RETIRE_BRANCH)
@@ -1269,7 +1097,7 @@ class VectorEngine:
                                 vec = {}
                             vec[arow] = avalue
                 if space is None:
-                    store_buffer.append(golden + (vec_out(vec),))
+                    store_buffer.append(golden + (vec or None,))
                     continue
                 if kind == dec.K_CMP:
                     vec2 = None
@@ -1278,93 +1106,50 @@ class VectorEngine:
                     seq += 1
                     heapq.heappush(pending, (cycle + op.latency, seq,
                                              _P_PRED, op.d1, golden,
-                                             vec_out(vec)))
+                                             vec or None))
                     seq += 1
                     heapq.heappush(pending, (cycle + op.latency, seq,
                                              _P_PRED, op.d2, 1 - golden,
-                                             vec_out(vec2)))
+                                             vec2))
                 else:
                     seq += 1
                     heapq.heappush(pending, (cycle + op.latency, seq,
                                              space, op.d1, golden,
-                                             vec_out(vec)))
+                                             vec or None))
 
             if absorb_map:
                 # One-shot by construction: the deltas rode the pushes
                 # of the bundle issued this cycle.
                 absorb_map.clear()
 
-            # ---- recorded-trap lanes: control-flow check -------------
-            if trapped_bundle:
-                # The trapping machine skipped every slot from the
-                # trapping op on (squash-bundle: the whole bundle), so
-                # its next-pc decision comes from the control events it
-                # still executed.  Any difference from the golden
-                # decision breaks lane-invariant timing: retire.
-                for lane, slot in trapped_bundle:
-                    if not lane.running:
-                        continue
-                    lane_taken = False
-                    lane_target = 0
-                    lane_halted = False
-                    if policy != "squash-bundle":
-                        for done, was_halt, done_target in control_events:
-                            if done >= slot:
-                                break
-                            if was_halt:
-                                lane_halted = True
-                            else:
-                                lane_taken = True
-                                lane_target = done_target
-                    if halted:
-                        same = lane_halted
-                    elif lane_halted:
-                        same = False
-                    elif taken:
-                        same = lane_taken and lane_target == target
-                    else:
-                        same = not lane_taken
-                    if not same:
-                        retire_lane(lane, RETIRE_TRAP_TIMING)
-                del trapped_bundle[:]
-
             # ---- buffered stores land (validated at issue) -----------
             if store_buffer:
                 for address, golden, vec in store_buffer:
                     # Column write: every row (golden, active, even
                     # dead — harmless) takes the golden store;
-                    # divergent entries then restore or redirect their
-                    # own rows.  A _KEEP row and a row storing elsewhere
-                    # both need the word's PRE-store value back, so
-                    # capture it first.
+                    # divergent entries then redirect their own rows.
+                    # A row storing elsewhere needs the word's
+                    # PRE-store value back, so capture it first.
                     prior = None
                     if vec:
                         prior = {}
-                        for row, entry in vec.items():
-                            if entry is _KEEP or entry[0] != address:
+                        for row, (laddr, _) in vec.items():
+                            if laddr != address:
                                 prior[row] = int(mem_plane[row, address])
                     mem_plane[:, address] = golden
                     if vec:
-                        for row, entry in vec.items():
+                        for row, (laddr, lvalue) in vec.items():
                             lane = row_lane[row]
                             if not lane.running:
                                 continue
-                            if entry is _KEEP:
+                            if laddr != address:
                                 lane.mem[address] = prior[row]
-                            else:
-                                laddr, lvalue = entry
-                                if laddr != address:
-                                    lane.mem[address] = prior[row]
-                                lane.mem[laddr] = lvalue
+                            lane.mem[laddr] = lvalue
                     for s in stuck_mem:
                         # Each lane stored to its own address; if that
                         # hit the lane's stuck word, force the bit back.
-                        if vec is None:
-                            hit = address
-                        else:
-                            entry = vec.get(s.row)
-                            hit = address if entry is None \
-                                else None if entry is _KEEP else entry[0]
+                        entry = vec.get(s.row) if vec else None
+                        hit = address if entry is None else entry[0]
                         if hit == s.fault.index:
                             self._apply_fault(s, mask,
                                               g_gpr, g_pred, g_btr)
@@ -1374,37 +1159,8 @@ class VectorEngine:
             extra = bundle.fetch_stall
             if model_ports:
                 port_ops = reads + writes_landing
-                port_extra = 0
                 if port_ops > port_budget:  # the common case skips the call
-                    port_extra = port_stall(port_ops)
-                    extra += port_extra
-                if keep_watch and land_keeps:
-                    # Port-timing guard: a lane whose machine squashed
-                    # write-backs landing THIS cycle sees fewer landing
-                    # port ops (and possibly an unforwarded read where
-                    # the golden machine forwarded) than row 0.  If its
-                    # stall arithmetic diverges, its timing is no
-                    # longer lane-invariant: retire.
-                    gpr_read_set = bundle.gpr_read_set
-                    for row, skipped in land_keeps.items():
-                        lane = row_lane.get(row)
-                        if lane is None or not lane.running:
-                            continue
-                        lane_reads = reads
-                        if forwarding:
-                            regs = keep_regs[row]
-                            for reg in set(regs):
-                                if reg and reg in gpr_read_set \
-                                        and gpr_ready_at[reg] == cycle \
-                                        and regs.count(reg) \
-                                        >= landing_counts.get(reg, 0):
-                                    # The lane squashed every write
-                                    # landing on this forwarded reg:
-                                    # its machine reads it via a port.
-                                    lane_reads += 1
-                        if port_stall(lane_reads + writes_landing
-                                      - skipped) != port_extra:
-                            retire_lane(lane, RETIRE_TRAP_TIMING)
+                    extra += port_stall(port_ops)
 
             if taken and not halted:
                 extra += branch_penalty
@@ -1506,11 +1262,7 @@ class VectorEngine:
         The cycle count is ``reference_cycles`` — the lane issued every
         bundle in lockstep with the golden machine (that is what kept
         it in the vector), so its halt cycle is the reference's.
-        Recorded traps win over the diff, exactly as ``run_one`` checks
-        ``result.traps`` before it ever diffs outputs.
         """
-        if lane.traps:
-            return self._resolve_converged(lane)
         for name, base, expected_values in self.outputs:
             row = lane.mem
             for offset, expected in enumerate(expected_values):

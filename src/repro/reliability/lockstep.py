@@ -314,10 +314,12 @@ class LockstepChecker:
         (``rewalk_lanes``, ``rewalk_lane_cycles``), not as a retired
         lane.
 
-        The walk handles all trap policies (non-halt policies record
-        per-lane traps in the lane plane) but still requires a
-        trap-free golden reference; when ineligible every fault runs
-        scalar and ``stats["engine_downgrade_reason"]`` says why.
+        The walk handles all trap policies: under each one a lane that
+        would trap retires to :meth:`run_one` (``trap-risk``), which
+        models the halt, the squashed bundle or the recorded trap.  It
+        still requires a trap-free golden reference; when ineligible
+        every fault runs scalar and ``stats["engine_downgrade_reason"]``
+        says why.
         """
         from repro.core.vector import DEFAULT_LANES, RewalkTicket
 

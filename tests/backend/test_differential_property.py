@@ -12,7 +12,8 @@ scheduler and both simulators against each other.
 The cross-engine test runs the same programs on the EPIC core's
 reference, fast and trace engines, including paused-and-resumed runs,
 and the vector-engine test runs seeded fault campaigns on them, batched
-against one scalar run per fault.
+against one scalar run per fault, with one program per ALU count (1
+or 4) and trap policy in each example.
 Its programs also index the array with computed indices, mostly masked
 into range and occasionally far outside memory, so loads and stores
 take the engines' dynamic bounds tests and some runs end in a trap.  It
@@ -262,24 +263,33 @@ def test_random_programs_agree_across_engines(source, n_alus, cap,
                     (engine, until_cycle)
 
 
-@_CROSS_ENGINE
-@given(programs(), st.sampled_from([1, 4]),
-       st.sampled_from(["halt", "squash-bundle", "record-and-continue"]),
-       st.integers(1, 1 << 16))
-def test_random_programs_agree_on_vector_engine(source, n_alus, policy,
-                                                seed):
+#: Each example draws one program per (ALU count, trap policy) pair,
+#: so the corpus covers all six pairs with an unchanged program budget:
+#: 30 programs in tier-1, 300 under the wide profile.
+_VECTOR_PAIRS = [(n_alus, policy) for n_alus in (1, 4)
+                 for policy in ("halt", "squash-bundle",
+                                "record-and-continue")]
+
+
+@settings(_CROSS_ENGINE,
+          max_examples=_CROSS_ENGINE.max_examples // len(_VECTOR_PAIRS))
+@given(st.data())
+def test_random_programs_agree_on_vector_engine(data):
     # 32 faults over every space (stuck-at and ifetch ones included):
     # the batched walk must classify each exactly as a scalar run.
-    spec = WorkloadSpec(name="generated", source=source,
-                        expected={_ARRAY: [0] * _ARRAY_SIZE},
-                        mem_words=4096)
-    checker = LockstepChecker(spec, epic_with_alus(n_alus,
-                                                   trap_policy=policy))
-    faults = generate_faults(checker, 32, seed)
-    batched, stats = checker.run_batch(faults)
-    assert [result_payload(result) for result in batched] == \
-        [result_payload(checker.run_one(fault)) for fault in faults]
-    # Not vacuous: the program's lanes rode the vector engine.
-    assert stats["engine_downgrade_reason"] is None
-    assert stats["vector_faults"] == len(faults)
-    assert stats["activated"] > 0
+    for n_alus, policy in _VECTOR_PAIRS:
+        source = data.draw(programs(), label=f"{n_alus} ALUs, {policy}")
+        seed = data.draw(st.integers(1, 1 << 16), label="fault seed")
+        spec = WorkloadSpec(name="generated", source=source,
+                            expected={_ARRAY: [0] * _ARRAY_SIZE},
+                            mem_words=4096)
+        checker = LockstepChecker(spec, epic_with_alus(n_alus,
+                                                       trap_policy=policy))
+        faults = generate_faults(checker, 32, seed)
+        batched, stats = checker.run_batch(faults)
+        assert [result_payload(result) for result in batched] == \
+            [result_payload(checker.run_one(fault)) for fault in faults]
+        # Not vacuous: the program's lanes rode the vector engine.
+        assert stats["engine_downgrade_reason"] is None
+        assert stats["vector_faults"] == len(faults)
+        assert stats["activated"] > 0

@@ -16,6 +16,7 @@ import pytest
 from repro.config import epic_with_alus
 from repro.core import EpicProcessor, vector
 from repro.core import decode as dec
+from repro.errors import SimulationError
 from repro.harness.cli import quick_specs
 from repro.harness.faultcampaign import (
     campaign_payload,
@@ -28,6 +29,7 @@ from repro.isa.encoding import InstructionFormat
 from repro.mdes import Mdes
 from repro.reliability import (
     FAULT_SPACES,
+    FaultInjector,
     FaultSpec,
     LockstepChecker,
     MODEL_STUCK0,
@@ -70,8 +72,8 @@ int main() {
 
 KNOWN_REASONS = {
     vector.RETIRE_GUARD, vector.RETIRE_BRANCH, vector.RETIRE_TRAP,
-    vector.RETIRE_TRAP_TIMING, vector.RETIRE_IFETCH,
-    vector.RETIRE_PARITY, vector.RETIRE_BOUNDS, vector.RETIRE_ENGINE,
+    vector.RETIRE_IFETCH, vector.RETIRE_PARITY, vector.RETIRE_BOUNDS,
+    vector.RETIRE_ENGINE,
 }
 
 
@@ -220,18 +222,21 @@ class TestTrapPolicyVector:
         assert _payloads(results) == _payloads(scalar)
         assert stats["engine_downgrade_reason"] is None
 
-    def test_oob_store_trap_recorded_in_lane(self, squash_checker):
-        # The same flipped base register that retires RETIRE_TRAP under
-        # the halt policy stays in the vector here: the trap is recorded
-        # in the lane plane, the bundle's write-backs are squashed, and
-        # the lane classifies DETECTED without a scalar rerun.
+    @pytest.mark.parametrize("policy",
+                             ("squash-bundle", "record-and-continue"))
+    def test_oob_store_trap_lane_retires(self, policy):
+        # The flipped base register sends a store out of bounds: under
+        # every trap policy the lane retires as RETIRE_TRAP, and the
+        # scalar rerun records the trap and classifies it DETECTED.
+        checker = LockstepChecker(tiny_spec(),
+                                  epic_with_alus(2, trap_policy=policy))
         fault = FaultSpec(SPACE_GPR, 12, 20, 8)
-        results, stats = squash_checker.run_batch([fault])
-        assert stats["retired"].get(vector.RETIRE_TRAP, 0) == 0
+        results, stats = checker.run_batch([fault])
+        assert stats["retired"] == {vector.RETIRE_TRAP: 1}
         assert results[0].outcome is Outcome.DETECTED
         assert results[0].trap_cause == "oob-store"
         assert result_payload(results[0]) == \
-            result_payload(squash_checker.run_one(fault))
+            result_payload(checker.run_one(fault))
 
 
 class TestLaneRetirement:
@@ -269,6 +274,26 @@ class TestLaneRetirement:
             _payloads([checker.run_one(fault) for fault in faults])
         assert all(result.detail.startswith(
             "machine check: negative branch target") for result in results)
+
+    def test_negative_branch_target_machine_check_has_its_cycle(
+            self, checker):
+        # The machine check fires in the write-back drain when the
+        # negative target lands, after the corrupted fetch: the error
+        # carries that cycle, the machine's stats stop there, and
+        # run_one reports it instead of 0.
+        faults = _negative_pbr_faults(checker)
+        cpu = EpicProcessor(checker.config, checker.compilation.program,
+                            mem_words=checker.spec.mem_words,
+                            injector=FaultInjector([faults[0]]))
+        with pytest.raises(SimulationError) as error:
+            cpu.run()
+        assert error.value.cycle > faults[0].cycle
+        assert cpu.stats.cycles == error.value.cycle
+        scalar = [checker.run_one(fault) for fault in faults]
+        assert all(result.cycles > fault.cycle
+                   for fault, result in zip(faults, scalar))
+        results, _ = checker.run_batch(faults)
+        assert _payloads(results) == _payloads(scalar)
 
     def test_trap_risk_lane_retires_mid_vector(self, checker):
         # A flipped base register sends a store out of bounds: the lane
